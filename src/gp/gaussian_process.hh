@@ -11,7 +11,9 @@
 #ifndef DOSA_GP_GAUSSIAN_PROCESS_HH
 #define DOSA_GP_GAUSSIAN_PROCESS_HH
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "linalg/cholesky.hh"
@@ -52,15 +54,36 @@ class GaussianProcess
      */
     double lcb(const std::vector<double> &x, double kappa) const;
 
+    /**
+     * lcb() of out.size() query points at once. `rows` holds the
+     * queries row-major, one feature vector after another, and must be
+     * out.size() x the training feature size. Each query's kernel row
+     * is computed once and feeds both the mean and the variance, and
+     * the variance solves run as one block forward substitution;
+     * out[q] is bitwise what lcb() gives for query q alone.
+     */
+    void lcbBatch(std::span<const double> rows, double kappa,
+                  std::span<double> out) const;
+
     /** Number of training points. */
-    size_t trainSize() const { return x_.size(); }
+    size_t trainSize() const { return alpha_.size(); }
 
   private:
-    double kernel(const std::vector<double> &a,
-                  const std::vector<double> &b) const;
+    double kernelOfDist2(double d2) const;
+    double kernel(const double *a, const double *b) const;
+
+    /**
+     * Posterior of `count` row-major query rows. Writes the means when
+     * `mean` is non-null and the clipped variances when `var` is;
+     * everything it needs besides the fitted state is allocated per
+     * call, so concurrent calls on a shared const GP are safe.
+     */
+    void posterior(std::span<const double> rows, size_t count,
+                   double *mean, double *var) const;
 
     GpParams params_;
-    std::vector<std::vector<double>> x_;
+    size_t dim_ = 0;           ///< feature size
+    std::vector<double> x_;    ///< training rows, row-major n x dim_
     double y_mean_ = 0.0;
     std::vector<double> alpha_; ///< K^-1 (y - mean)
     std::unique_ptr<Cholesky> chol_;

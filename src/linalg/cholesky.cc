@@ -35,17 +35,38 @@ Cholesky::Cholesky(const Matrix &a)
 std::vector<double>
 Cholesky::solveLower(const std::vector<double> &b) const
 {
-    size_t n = l_.rows();
-    if (b.size() != n)
+    if (b.size() != l_.rows())
         panic("Cholesky::solveLower: size mismatch");
-    std::vector<double> y(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (size_t k = 0; k < i; ++k)
-            acc -= l_(i, k) * y[k];
-        y[i] = acc / l_(i, i);
-    }
+    std::vector<double> y = b;
+    solveLowerBlock(y, 1);
     return y;
+}
+
+void
+Cholesky::solveLowerBlock(std::span<double> block, size_t nrhs) const
+{
+    if (block.size() != l_.rows() * nrhs)
+        panic("Cholesky::solveLowerBlock: size mismatch");
+    // Row i's running accumulators stay in registers across the k
+    // loop, so each column's chain pays one subtract latency per k
+    // rather than a store and reload.
+    forEachColumnTile(nrhs, [&]<size_t W>(size_t c0) {
+        for (size_t i = 0; i < l_.rows(); ++i) {
+            double *yi = block.data() + i * nrhs + c0;
+            double acc[W];
+            for (size_t c = 0; c < W; ++c)
+                acc[c] = yi[c];
+            for (size_t k = 0; k < i; ++k) {
+                const double lik = l_(i, k);
+                const double *yk = block.data() + k * nrhs + c0;
+                for (size_t c = 0; c < W; ++c)
+                    acc[c] -= lik * yk[c];
+            }
+            const double lii = l_(i, i);
+            for (size_t c = 0; c < W; ++c)
+                yi[c] = acc[c] / lii;
+        }
+    });
 }
 
 std::vector<double>

@@ -7,6 +7,8 @@
 #ifndef DOSA_LINALG_CHOLESKY_HH
 #define DOSA_LINALG_CHOLESKY_HH
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hh"
@@ -29,6 +31,17 @@ class Cholesky
 
     /** Solve L y = b (forward substitution only). */
     std::vector<double> solveLower(const std::vector<double> &b) const;
+
+    /**
+     * Solve L Y = B in place for nrhs right-hand sides at once (GPML
+     * Alg. 2.1 line 5 over a block). B is n x nrhs stored k-major:
+     * element (row i, column c) lives at block[i * nrhs + c], so one
+     * row's columns are contiguous and the inner loop runs across
+     * them. Every column keeps its own k-ascending
+     * `acc -= L(i,k) * y[k]` chain, so column c is bitwise what
+     * solveLower gives for that column alone.
+     */
+    void solveLowerBlock(std::span<double> block, size_t nrhs) const;
 
     /** log(det(A)) = 2 * sum(log(diag(L))). */
     double logDet() const;

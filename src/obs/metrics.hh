@@ -9,8 +9,8 @@
  * every bench. The registry unifies them: a source either owns
  * registry *instruments* (cheap atomics it bumps inline) or stays
  * push-free and registers a *collector* that contributes its counters
- * at snapshot time (the eval cache and divisor memo report this way,
- * so their hot paths gain zero cost).
+ * at snapshot time (the eval cache reports this way, so its hot path
+ * gains zero cost).
  *
  * Contracts, in order:
  *
@@ -240,7 +240,7 @@ class MetricsRegistry
     /**
      * A pull-style metrics source: called during `snapshot()` to
      * contribute values for state it already counts elsewhere (the
-     * eval cache's CacheStats, the divisor memo). Collectors must be
+     * eval cache's CacheStats). Collectors must be
      * thread-safe and must not call back into the registry.
      */
     using Collector = std::function<void(MetricsSnapshot &)>;

@@ -143,15 +143,27 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
                 uint64_t sid = (static_cast<uint64_t>(sample) *
                         cand_hws.size() + hc) * n_layers + li;
                 Rng srng = Rng::stream(cfg.seed, sid);
-                Slice s;
+                // Draw every candidate first (the stream order is the
+                // selection order), then score them in one batch.
+                std::vector<Mapping> cands;
+                std::vector<double> rows;
+                cands.reserve(static_cast<size_t>(cfg.map_candidates));
+                rows.reserve(static_cast<size_t>(cfg.map_candidates) *
+                        kFeatureSize);
                 for (int mc = 0; mc < cfg.map_candidates; ++mc) {
-                    Mapping m = randomValidMapping(layers[li],
-                            cand_hws[hc], srng, 16);
-                    double v = gp.lcb(encodeFeatures(layers[li], m,
-                            cand_hws[hc]), cfg.lcb_kappa);
-                    if (v < s.lcb) {
-                        s.lcb = v;
-                        s.map = std::move(m);
+                    cands.push_back(randomValidMapping(layers[li],
+                            cand_hws[hc], srng, 16));
+                    std::vector<double> f = encodeFeatures(layers[li],
+                            cands.back(), cand_hws[hc]);
+                    rows.insert(rows.end(), f.begin(), f.end());
+                }
+                std::vector<double> lcbs(cands.size());
+                gp.lcbBatch(rows, cfg.lcb_kappa, lcbs);
+                Slice s;
+                for (size_t mc = 0; mc < cands.size(); ++mc) {
+                    if (lcbs[mc] < s.lcb) {
+                        s.lcb = lcbs[mc];
+                        s.map = std::move(cands[mc]);
                     }
                 }
                 return s;

@@ -17,7 +17,7 @@ namespace dosa {
 
 /**
  * Hit/miss/size counters reported by memoization layers (the exec/
- * evaluation cache, divisor memo). Collected here so every cache in
+ * evaluation cache). Collected here so every cache in
  * the system reports through one vocabulary.
  */
 struct CacheStats

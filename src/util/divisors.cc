@@ -1,18 +1,15 @@
 /**
  * @file
- * Memoized divisor queries for mapping construction and rounding.
+ * Per-thread memoized divisor queries for mapping construction and
+ * rounding.
  */
 #include "util/divisors.hh"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <unordered_map>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/thread_annotations.hh"
 
 namespace dosa {
 
@@ -22,7 +19,9 @@ std::vector<int64_t>
 computeDivisors(int64_t n)
 {
     std::vector<int64_t> lo, hi;
-    for (int64_t d = 1; d * d <= n; ++d) {
+    // d <= n / d, not d * d <= n: the product overflows as n nears
+    // INT64_MAX.
+    for (int64_t d = 1; d <= n / d; ++d) {
         if (n % d == 0) {
             lo.push_back(d);
             if (d != n / d)
@@ -33,83 +32,6 @@ computeDivisors(int64_t n)
     return lo;
 }
 
-/**
- * Mutex-striped divisor memo, mirroring the EvalCache (src/exec)
- * sharding so parallel searchers rounding mappings concurrently do
- * not contend on one lock. References handed out stay valid forever:
- * unordered_map never invalidates element references and entries are
- * never erased.
- */
-struct DivisorMemo
-{
-    static constexpr size_t kNumShards = 16;
-
-    struct Shard
-    {
-        util::Mutex mtx;
-        std::unordered_map<int64_t, std::vector<int64_t>> map
-                GUARDED_BY(mtx);
-        // No atomics needed; summed by stats() under the same lock.
-        uint64_t hits GUARDED_BY(mtx) = 0;
-        uint64_t misses GUARDED_BY(mtx) = 0;
-    };
-
-    std::array<Shard, kNumShards> shards;
-
-    const std::vector<int64_t> &
-    get(int64_t n)
-    {
-        // Mix before masking: raw low bits would send the
-        // power-of-two / multiple-of-16 sizes that dominate DNN
-        // layers all to one shard.
-        uint64_t h = static_cast<uint64_t>(n) * 0xbf58476d1ce4e5b9ull;
-        Shard &shard = shards[(h >> 32) & (kNumShards - 1)];
-        util::MutexLock lock(shard.mtx);
-        auto it = shard.map.find(n);
-        if (it == shard.map.end()) {
-            shard.misses++;
-            it = shard.map.emplace(n, computeDivisors(n)).first;
-        } else {
-            shard.hits++;
-        }
-        return it->second;
-    }
-
-    DivisorMemoStats
-    stats()
-    {
-        DivisorMemoStats s;
-        for (Shard &shard : shards) {
-            util::MutexLock lock(shard.mtx);
-            s.hits += shard.hits;
-            s.misses += shard.misses;
-            s.entries += shard.map.size();
-        }
-        return s;
-    }
-};
-
-DivisorMemo &
-divisorMemo()
-{
-    static DivisorMemo memo;
-    // One-time hookup of the memo's live counters into metrics
-    // snapshots (the memo itself stays push-free on its hot path).
-    static const bool registered = [] {
-        obs::globalMetrics().registerCollector(
-            [](obs::MetricsSnapshot &snap) {
-                DivisorMemoStats s = divisorMemoStats();
-                snap.counters["divisors.memo_hits"] = s.hits;
-                snap.counters["divisors.memo_misses"] = s.misses;
-                snap.gauges["divisors.memo_entries"] =
-                    static_cast<int64_t>(s.entries);
-            });
-        return true;
-    }();
-    (void)registered;
-    return memo;
-}
-
 } // namespace
 
 const std::vector<int64_t> &
@@ -117,13 +39,17 @@ divisorsOf(int64_t n)
 {
     if (n < 1)
         panic("divisorsOf: n must be >= 1");
-    return divisorMemo().get(n);
-}
-
-DivisorMemoStats
-divisorMemoStats()
-{
-    return divisorMemo().stats();
+    // One memo per thread: a lookup takes no lock and writes no shared
+    // cache line. A fig7 run makes tens of millions of lookups over a
+    // few dozen keys, so each thread rebuilds its handful of lists
+    // almost for free. Entries are never erased and unordered_map
+    // never moves its elements, so a returned reference stays valid
+    // until the calling thread exits.
+    thread_local std::unordered_map<int64_t, std::vector<int64_t>> memo;
+    auto it = memo.find(n);
+    if (it == memo.end())
+        it = memo.emplace(n, computeDivisors(n)).first;
+    return it->second;
 }
 
 int64_t

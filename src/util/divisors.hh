@@ -4,8 +4,11 @@
  *
  * Tiling factors of a loop dimension must multiply exactly to the problem
  * size, so every factor manipulation in the mapspace reduces to divisor
- * queries on (usually small) integers. Results are memoized because the
- * same dimension sizes recur across thousands of mapping evaluations.
+ * queries on (usually small) integers. The same few dozen dimension
+ * sizes recur across millions of mapping evaluations, so each thread
+ * keeps its own memo of divisor lists: a lookup takes no lock and
+ * writes nothing another thread reads, which is what lets the parallel
+ * searchers scale.
  */
 
 #ifndef DOSA_UTIL_DIVISORS_HH
@@ -18,19 +21,13 @@ namespace dosa {
 
 class Rng;
 
-/** Return the sorted list of positive divisors of n (n >= 1). Memoized. */
+/**
+ * Return the sorted list of positive divisors of n (n >= 1), from the
+ * calling thread's memo. The reference stays valid, and the list
+ * unchanged, until the calling thread exits; do not hand it to another
+ * thread that may outlive this one.
+ */
 const std::vector<int64_t> &divisorsOf(int64_t n);
-
-/** Live hit/miss/entry counts of the divisor memo behind divisorsOf.
- *  Also published into the global metrics registry (obs/metrics.hh)
- *  as the `divisors.memo_*` counters via a snapshot collector. */
-struct DivisorMemoStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t entries = 0;
-};
-DivisorMemoStats divisorMemoStats();
 
 /**
  * Return the divisor of n closest to target.
@@ -60,9 +57,10 @@ std::vector<int64_t> randomFactorSplit(int64_t n, int parts, Rng &rng);
  * Divisor-quota chain over one dimension size: rounding walks a chain
  * remaining -> remaining / f1 -> ... where every intermediate value
  * divides the original n. Since divisors(remaining) is a subset of
- * divisors(n), the whole chain is served from the single memoized
- * divisor list of n, grabbed once at construction — one cache probe
- * per dimension instead of one (lock + hash lookup) per factor.
+ * divisors(n), the whole chain is served from the single divisor list
+ * of n, looked up once at construction — one memo probe per dimension
+ * instead of one per factor. A quota borrows the constructing thread's
+ * list, so it must stay on that thread.
  */
 class DivisorQuota
 {
@@ -83,7 +81,7 @@ class DivisorQuota
     int64_t takeAtMost(double target, int64_t cap);
 
   private:
-    /** Memoized divisor list of the original n (never mutated). */
+    /** Divisor list of the original n (never mutated). */
     const std::vector<int64_t> *divs_;
     int64_t remaining_;
 };

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "gp/gaussian_process.hh"
+#include "linalg/cholesky.hh"
 #include "util/rng.hh"
 
 namespace dosa {
@@ -110,6 +115,140 @@ TEST(Gp, TrainSizeReported)
     EXPECT_EQ(gp.trainSize(), 0u);
     gp.fit({{0.0}, {1.0}, {2.0}}, {1.0, 2.0, 3.0});
     EXPECT_EQ(gp.trainSize(), 3u);
+}
+
+/**
+ * The LCB the way the unbatched GP computed it: one kernel row for the
+ * mean, a second for the variance, then solveLower. `raw_var` receives
+ * the variance before the clip to 0.
+ */
+struct NaiveGp
+{
+    GpParams p;
+    std::vector<std::vector<double>> x;
+    double y_mean = 0.0;
+    std::vector<double> alpha;
+    std::unique_ptr<Cholesky> chol;
+
+    double
+    kernel(const std::vector<double> &a, const std::vector<double> &b) const
+    {
+        double d2 = 0.0;
+        for (size_t i = 0; i < a.size(); ++i) {
+            double d = a[i] - b[i];
+            d2 += d * d;
+        }
+        double ls2 = p.length_scale * p.length_scale;
+        return p.signal_var * std::exp(-0.5 * d2 / ls2);
+    }
+
+    NaiveGp(GpParams params, const std::vector<std::vector<double>> &xs,
+            const std::vector<double> &ys)
+        : p(params), x(xs)
+    {
+        for (double v : ys)
+            y_mean += v;
+        y_mean /= static_cast<double>(ys.size());
+        const size_t n = xs.size();
+        Matrix k(n, n, 0.0);
+        for (size_t i = 0; i < n; ++i)
+            for (size_t j = 0; j <= i; ++j)
+                k(i, j) = k(j, i) = kernel(xs[i], xs[j]);
+        k.addDiagonal(p.noise_var + 1e-10);
+        chol = std::make_unique<Cholesky>(k);
+        std::vector<double> centred(n);
+        for (size_t i = 0; i < n; ++i)
+            centred[i] = ys[i] - y_mean;
+        alpha = chol->solve(centred);
+    }
+
+    double
+    lcb(const std::vector<double> &q, double kappa, double &raw_var) const
+    {
+        double mean = y_mean;
+        for (size_t i = 0; i < x.size(); ++i)
+            mean += alpha[i] * kernel(q, x[i]);
+        std::vector<double> kstar(x.size());
+        for (size_t i = 0; i < x.size(); ++i)
+            kstar[i] = kernel(q, x[i]);
+        std::vector<double> v = chol->solveLower(kstar);
+        double var = kernel(q, q);
+        for (double vi : v)
+            var -= vi * vi;
+        raw_var = var;
+        return mean - kappa * std::sqrt(var > 0.0 ? var : 0.0);
+    }
+};
+
+TEST(Gp, BatchedLcbEqualsNaiveReferenceBitwise)
+{
+    // BB-BO-like shapes: 5 features, 60 training points. Zero noise
+    // leaves only the 1e-10 jitter against a large signal variance, so
+    // at queries placed exactly on training points rounding drives the
+    // raw variance negative and the clip to 0 fires.
+    const GpParams p{1.5, 1e6, 0.0};
+    const double kappa = 1.3;
+    Rng rng(21);
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    x.reserve(60);
+    y.reserve(60);
+    for (int i = 0; i < 60; ++i) {
+        std::vector<double> f(5);
+        for (double &v : f)
+            v = rng.uniformReal(-2.0, 2.0);
+        y.push_back(std::sin(f[0]) + f[1] * f[2]);
+        x.push_back(std::move(f));
+    }
+    GaussianProcess gp(p);
+    gp.fit(x, y);
+    const NaiveGp naive(p, x, y);
+
+    std::vector<std::vector<double>> queries(x.begin(), x.begin() + 20);
+    queries.reserve(40);
+    for (int i = 0; i < 20; ++i) {
+        std::vector<double> f(5);
+        for (double &v : f)
+            v = rng.uniformReal(-3.0, 3.0);
+        queries.push_back(std::move(f));
+    }
+    std::vector<double> expect(queries.size());
+    int clipped = 0;
+    for (size_t q = 0; q < queries.size(); ++q) {
+        double raw_var = 0.0;
+        expect[q] = naive.lcb(queries[q], kappa, raw_var);
+        clipped += raw_var <= 0.0;
+        EXPECT_EQ(std::bit_cast<uint64_t>(gp.lcb(queries[q], kappa)),
+                  std::bit_cast<uint64_t>(expect[q]))
+                << "point query " << q;
+    }
+    EXPECT_GT(clipped, 0) << "no query exercised the variance clip";
+
+    // Batches of every width 1..9 plus the whole set at once.
+    for (size_t width : {1, 2, 3, 4, 5, 6, 7, 8, 9, 40}) {
+        for (size_t lo = 0; lo < queries.size(); lo += width) {
+            const size_t hi = std::min(queries.size(), lo + width);
+            std::vector<double> rows;
+            for (size_t q = lo; q < hi; ++q)
+                rows.insert(rows.end(), queries[q].begin(),
+                            queries[q].end());
+            std::vector<double> out(hi - lo);
+            gp.lcbBatch(rows, kappa, out);
+            for (size_t q = lo; q < hi; ++q)
+                EXPECT_EQ(std::bit_cast<uint64_t>(out[q - lo]),
+                          std::bit_cast<uint64_t>(expect[q]))
+                        << "width " << width << " query " << q;
+        }
+    }
+}
+
+TEST(GpDeathTest, BatchRowsMustMatchFeatureSize)
+{
+    GaussianProcess gp;
+    gp.fit({{0.0, 1.0}, {1.0, 0.0}}, {1.0, 2.0});
+    std::vector<double> rows = {0.5, 0.5, 0.25};
+    std::vector<double> out(2);
+    EXPECT_DEATH(gp.lcbBatch(rows, 1.0, out), "feature size mismatch");
 }
 
 } // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/cholesky.hh"
 #include "linalg/matrix.hh"
@@ -134,6 +136,63 @@ TEST(Cholesky, SolveLowerIsForwardSubstitution)
     auto y = chol.solveLower({2.0, 1.0 + std::sqrt(2.0)});
     EXPECT_NEAR(y[0], 1.0, 1e-12);
     EXPECT_NEAR(y[1], 1.0, 1e-12);
+}
+
+/** Scalar forward substitution, one accumulator per row. */
+std::vector<double>
+referenceSolveLower(const Matrix &l, const std::vector<double> &b)
+{
+    std::vector<double> y(b.size(), 0.0);
+    for (size_t i = 0; i < b.size(); ++i) {
+        double acc = b[i];
+        for (size_t k = 0; k < i; ++k)
+            acc -= l(i, k) * y[k];
+        y[i] = acc / l(i, i);
+    }
+    return y;
+}
+
+TEST(Cholesky, BlockSolveEqualsPerColumnSolveLowerBitwise)
+{
+    // Sizes cover tiny systems and a GP-sized one; nrhs 1..9 covers
+    // every vector-width tail of the across-columns inner loop. Each
+    // column must match both solveLower and the scalar reference.
+    for (size_t n : {1, 2, 3, 7, 31, 300}) {
+        Rng rng(static_cast<uint64_t>(n) * 31 + 5);
+        Matrix b(n, n);
+        for (size_t i = 0; i < n; ++i)
+            for (size_t j = 0; j < n; ++j)
+                b(i, j) = rng.gaussian();
+        Matrix a = b.matmul(b.transpose());
+        a.addDiagonal(static_cast<double>(n));
+        Cholesky chol(a);
+        for (size_t nrhs = 1; nrhs <= 9; ++nrhs) {
+            std::vector<std::vector<double>> cols(nrhs,
+                    std::vector<double>(n));
+            std::vector<double> block(n * nrhs);
+            for (size_t c = 0; c < nrhs; ++c)
+                for (size_t i = 0; i < n; ++i) {
+                    cols[c][i] = rng.gaussian();
+                    block[i * nrhs + c] = cols[c][i];
+                }
+            chol.solveLowerBlock(block, nrhs);
+            for (size_t c = 0; c < nrhs; ++c) {
+                std::vector<double> y = chol.solveLower(cols[c]);
+                std::vector<double> ref =
+                        referenceSolveLower(chol.factor(), cols[c]);
+                for (size_t i = 0; i < n; ++i) {
+                    uint64_t got =
+                            std::bit_cast<uint64_t>(block[i * nrhs + c]);
+                    ASSERT_EQ(got, std::bit_cast<uint64_t>(y[i]))
+                            << "n=" << n << " nrhs=" << nrhs << " c=" << c
+                            << " i=" << i;
+                    ASSERT_EQ(got, std::bit_cast<uint64_t>(ref[i]))
+                            << "n=" << n << " nrhs=" << nrhs << " c=" << c
+                            << " i=" << i;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -117,6 +117,14 @@ struct RandomMappingCase
     uint64_t seed;
 };
 
+// Names the case by value; gtest's default byte dump would print the
+// string pointer, which changes from run to run under ASLR.
+void
+PrintTo(const RandomMappingCase &c, std::ostream *os)
+{
+    *os << c.net << "_seed" << c.seed;
+}
+
 class RandomMappingProperty
     : public ::testing::TestWithParam<RandomMappingCase>
 {

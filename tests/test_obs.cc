@@ -33,7 +33,6 @@
 #include "service/search_service.hh"
 #include "service/service_bus.hh"
 #include "service/wire.hh"
-#include "util/divisors.hh"
 #include "util/json.hh"
 #include "workload/layer.hh"
 
@@ -206,11 +205,9 @@ TEST(Metrics, GlobalRegistryCarriesSubsystemInstruments)
     // The rehomed sources register their collectors lazily on first
     // use; touch each one before snapshotting.
     globalEvalCache().stats();
-    divisorsOf(12);
     obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
     EXPECT_TRUE(snap.counters.count("eval_cache.hits"));
     EXPECT_TRUE(snap.counters.count("eval_cache.misses"));
-    EXPECT_TRUE(snap.counters.count("divisors.memo_hits"));
     EXPECT_TRUE(snap.gauges.count("eval_cache.entries"));
 }
 

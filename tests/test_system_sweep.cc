@@ -26,6 +26,14 @@ struct SweepCase
     int baseline_index;
 };
 
+// Names the case by value; gtest's default byte dump would print the
+// string pointer, which changes from run to run under ASLR.
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.network << "_baseline" << c.baseline_index;
+}
+
 class NetworkBaselineSweep
     : public ::testing::TestWithParam<SweepCase>
 {

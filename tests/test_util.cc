@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "util/cli.hh"
 #include "util/divisors.hh"
@@ -120,6 +122,60 @@ TEST(Divisors, KnownLists)
     EXPECT_EQ(divisorsOf(56),
               (std::vector<int64_t>{1, 2, 4, 7, 8, 14, 28, 56}));
     EXPECT_EQ(divisorsOf(97), (std::vector<int64_t>{1, 97}));
+}
+
+TEST(Divisors, LargeInputsMatchReferenceLists)
+{
+    // computeDivisors loops while d <= n / d; the old d * d <= n form
+    // overflows as n nears INT64_MAX. These inputs stay fast (about
+    // 2^20 iterations at most) and are checked against lists built
+    // from their prime factorizations.
+    auto powers = [](int64_t p, int ep, int64_t q, int eq) {
+        std::vector<int64_t> out;
+        int64_t pa = 1;
+        for (int a = 0; a <= ep; ++a, pa *= p) {
+            int64_t v = pa;
+            for (int b = 0; b <= eq; ++b, v *= q)
+                out.push_back(v);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+    EXPECT_EQ(divisorsOf(int64_t(1) << 40), powers(2, 40, 3, 0));
+    EXPECT_EQ(divisorsOf(int64_t(3) << 31), powers(2, 31, 3, 1));
+    EXPECT_EQ(divisorsOf(1000000000000), powers(2, 12, 5, 12));
+}
+
+TEST(Divisors, ConcurrentLookupsMatchLocalReference)
+{
+    // Eight threads hammer divisorsOf over overlapping keys; every list
+    // each thread sees must equal a trial-division reference computed
+    // on that thread. Under TSan this pins that lookups share no
+    // mutable state.
+    constexpr int kThreads = 8;
+    auto reference = [](int64_t n) {
+        std::vector<int64_t> out;
+        for (int64_t d = 1; d <= n; ++d)
+            if (n % d == 0)
+                out.push_back(d);
+        return out;
+    };
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 200; ++round) {
+                int64_t n = 1 + (round * 37 + t * 11) % 600;
+                if (divisorsOf(n) != reference(n))
+                    mismatches[static_cast<size_t>(t)]++;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
 }
 
 class DivisorProperty : public ::testing::TestWithParam<int64_t>
