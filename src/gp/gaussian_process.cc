@@ -5,11 +5,41 @@
  */
 #include "gp/gaussian_process.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "exec/thread_pool.hh"
+#include "linalg/tile_kernels.hh"
 #include "util/logging.hh"
 
 namespace dosa {
+
+namespace {
+
+/**
+ * Queries per posterior tile: the widest column tile of the vector
+ * kernels (four 8-lane vectors), and it bounds a tile's K* scratch at
+ * n x 32.
+ */
+constexpr size_t kQueryTile = 32;
+
+/**
+ * `count` zeroed doubles inside `buf`, starting on a 64-byte boundary:
+ * a misaligned 8-lane load or store straddles two cache lines, which
+ * made the vector kernels up to a third slower.
+ */
+std::span<double>
+alignedScratch(std::vector<double> &buf, size_t count)
+{
+    buf.assign(count + 7, 0.0);
+    void *p = buf.data();
+    size_t space = buf.size() * sizeof(double);
+    std::align(64, count * sizeof(double), p, space);
+    return {static_cast<double *>(p), count};
+}
+
+} // namespace
 
 GaussianProcess::GaussianProcess(GpParams params) : params_(params) {}
 
@@ -69,54 +99,64 @@ GaussianProcess::fit(const std::vector<std::vector<double>> &x,
 
 void
 GaussianProcess::posterior(std::span<const double> rows, size_t count,
-                           double *mean, double *var) const
+                           double *mean, double *var,
+                           ThreadPool *pool) const
 {
     if (!chol_)
         panic("GaussianProcess: predict before fit");
     if (rows.size() != count * dim_)
         panic("GaussianProcess: feature size mismatch");
+    const size_t tiles = (count + kQueryTile - 1) / kQueryTile;
+    auto tile = [&](size_t t) {
+        const size_t q0 = t * kQueryTile;
+        posteriorTile(rows.data() + q0 * dim_,
+                std::min(kQueryTile, count - q0),
+                mean != nullptr ? mean + q0 : nullptr,
+                var != nullptr ? var + q0 : nullptr);
+    };
+    if (pool != nullptr)
+        pool->parallelFor(tiles, tile);
+    else
+        for (size_t t = 0; t < tiles; ++t)
+            tile(t);
+}
+
+void
+GaussianProcess::posteriorTile(const double *rows, size_t w, double *mean,
+                               double *var) const
+{
     const size_t n = trainSize();
+    const detail::TileIsa isa = detail::hostTileIsa();
     // The queries transposed feature-major, so one training row meets
-    // a tile of queries in contiguous lanes; each (query, training
+    // the tile's queries in contiguous lanes; each (query, training
     // point) distance still sums its features in ascending order.
-    std::vector<double> qt(dim_ * count);
-    for (size_t q = 0; q < count; ++q)
+    std::vector<double> qt_buf, ks_buf;
+    std::span<double> qt = alignedScratch(qt_buf, dim_ * w);
+    for (size_t q = 0; q < w; ++q)
         for (size_t f = 0; f < dim_; ++f)
-            qt[f * count + q] = rows[q * dim_ + f];
-    // K* block, k-major: ks[i * count + q] = k(query q, x_i).
-    std::vector<double> ks(n * count);
-    forEachColumnTile(count, [&]<size_t W>(size_t q0) {
-        for (size_t i = 0; i < n; ++i) {
-            const double *xi = x_.data() + i * dim_;
-            double d2[W] = {};
-            for (size_t f = 0; f < dim_; ++f) {
-                const double *qf = qt.data() + f * count + q0;
-                for (size_t c = 0; c < W; ++c) {
-                    double d = qf[c] - xi[f];
-                    d2[c] += d * d;
-                }
-            }
-            for (size_t c = 0; c < W; ++c)
-                ks[i * count + q0 + c] = kernelOfDist2(d2[c]);
-        }
-    });
+            qt[f * w + q] = rows[q * dim_ + f];
+    // K* block, k-major: ks[i * w + q] = k(query q, x_i).
+    std::span<double> ks = alignedScratch(ks_buf, n * w);
+    detail::squaredDistances(isa, x_.data(), n, dim_, qt.data(), w,
+            ks.data());
+    for (double &v : ks)
+        v = kernelOfDist2(v);
 
     if (mean != nullptr) {
-        for (size_t q = 0; q < count; ++q)
+        for (size_t q = 0; q < w; ++q)
             mean[q] = y_mean_;
         for (size_t i = 0; i < n; ++i)
-            for (size_t q = 0; q < count; ++q)
-                mean[q] += alpha_[i] * ks[i * count + q];
+            for (size_t q = 0; q < w; ++q)
+                mean[q] += alpha_[i] * ks[i * w + q];
     }
     if (var != nullptr) {
-        chol_->solveLowerBlock(ks, count);
-        for (size_t q = 0; q < count; ++q)
-            var[q] = kernel(rows.data() + q * dim_,
-                    rows.data() + q * dim_);
+        chol_->solveLowerBlock(ks, w);
+        for (size_t q = 0; q < w; ++q)
+            var[q] = kernel(rows + q * dim_, rows + q * dim_);
         for (size_t i = 0; i < n; ++i)
-            for (size_t q = 0; q < count; ++q)
-                var[q] -= ks[i * count + q] * ks[i * count + q];
-        for (size_t q = 0; q < count; ++q)
+            for (size_t q = 0; q < w; ++q)
+                var[q] -= ks[i * w + q] * ks[i * w + q];
+        for (size_t q = 0; q < w; ++q)
             var[q] = var[q] > 0.0 ? var[q] : 0.0;
     }
 }
@@ -147,10 +187,10 @@ GaussianProcess::lcb(const std::vector<double> &x, double kappa) const
 
 void
 GaussianProcess::lcbBatch(std::span<const double> rows, double kappa,
-                          std::span<double> out) const
+                          std::span<double> out, ThreadPool *pool) const
 {
     std::vector<double> mean(out.size());
-    posterior(rows, out.size(), mean.data(), out.data());
+    posterior(rows, out.size(), mean.data(), out.data(), pool);
     for (size_t q = 0; q < out.size(); ++q)
         out[q] = mean[q] - kappa * std::sqrt(out[q]);
 }

@@ -21,6 +21,8 @@
 
 namespace dosa {
 
+class ThreadPool;
+
 /** Hyperparameters of the squared-exponential kernel. */
 struct GpParams
 {
@@ -57,13 +59,16 @@ class GaussianProcess
     /**
      * lcb() of out.size() query points at once. `rows` holds the
      * queries row-major, one feature vector after another, and must be
-     * out.size() x the training feature size. Each query's kernel row
-     * is computed once and feeds both the mean and the variance, and
-     * the variance solves run as one block forward substitution;
-     * out[q] is bitwise what lcb() gives for query q alone.
+     * out.size() x the training feature size. Queries go in tiles of
+     * up to 32: each query's kernel row is computed once and feeds
+     * both the mean and the variance, and a tile's variance solves run
+     * as one block forward substitution. With a `pool`, the tiles are
+     * split over its threads (the call must not come from one of that
+     * pool's tasks). out[q] is bitwise what lcb() gives for query q
+     * alone, with or without a pool.
      */
     void lcbBatch(std::span<const double> rows, double kappa,
-                  std::span<double> out) const;
+                  std::span<double> out, ThreadPool *pool = nullptr) const;
 
     /** Number of training points. */
     size_t trainSize() const { return alpha_.size(); }
@@ -73,13 +78,19 @@ class GaussianProcess
     double kernel(const double *a, const double *b) const;
 
     /**
-     * Posterior of `count` row-major query rows. Writes the means when
-     * `mean` is non-null and the clipped variances when `var` is;
-     * everything it needs besides the fitted state is allocated per
-     * call, so concurrent calls on a shared const GP are safe.
+     * Posterior of `count` row-major query rows, one tile of up to 32
+     * at a time (over `pool` when given). Writes the means when `mean`
+     * is non-null and the clipped variances when `var` is; everything
+     * it needs besides the fitted state is allocated per tile, so
+     * concurrent calls on a shared const GP are safe.
      */
     void posterior(std::span<const double> rows, size_t count,
-                   double *mean, double *var) const;
+                   double *mean, double *var,
+                   ThreadPool *pool = nullptr) const;
+
+    /** posterior() of one tile of `w` <= 32 queries. */
+    void posteriorTile(const double *rows, size_t w, double *mean,
+                       double *var) const;
 
     GpParams params_;
     size_t dim_ = 0;           ///< feature size

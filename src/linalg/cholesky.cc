@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "linalg/tile_kernels.hh"
 #include "util/logging.hh"
 
 namespace dosa {
@@ -47,26 +48,8 @@ Cholesky::solveLowerBlock(std::span<double> block, size_t nrhs) const
 {
     if (block.size() != l_.rows() * nrhs)
         panic("Cholesky::solveLowerBlock: size mismatch");
-    // Row i's running accumulators stay in registers across the k
-    // loop, so each column's chain pays one subtract latency per k
-    // rather than a store and reload.
-    forEachColumnTile(nrhs, [&]<size_t W>(size_t c0) {
-        for (size_t i = 0; i < l_.rows(); ++i) {
-            double *yi = block.data() + i * nrhs + c0;
-            double acc[W];
-            for (size_t c = 0; c < W; ++c)
-                acc[c] = yi[c];
-            for (size_t k = 0; k < i; ++k) {
-                const double lik = l_(i, k);
-                const double *yk = block.data() + k * nrhs + c0;
-                for (size_t c = 0; c < W; ++c)
-                    acc[c] -= lik * yk[c];
-            }
-            const double lii = l_(i, i);
-            for (size_t c = 0; c < W; ++c)
-                yi[c] = acc[c] / lii;
-        }
-    });
+    detail::forwardSubstitute(detail::hostTileIsa(), l_, block.data(),
+            nrhs);
 }
 
 std::vector<double>

@@ -39,7 +39,8 @@ class Cholesky
      * row's columns are contiguous and the inner loop runs across
      * them. Every column keeps its own k-ascending
      * `acc -= L(i,k) * y[k]` chain, so column c is bitwise what
-     * solveLower gives for that column alone.
+     * solveLower gives for that column alone. Runs on the CPU's
+     * column-tile kernels (linalg/tile_kernels.hh).
      */
     void solveLowerBlock(std::span<double> block, size_t nrhs) const;
 

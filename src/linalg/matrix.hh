@@ -61,33 +61,6 @@ class Matrix
 /** Dot product; panics on size mismatch. */
 double dot(const std::vector<double> &a, const std::vector<double> &b);
 
-/**
- * Cover columns [0, count) with full 8-wide tiles and then at most one
- * 4-, 2- and 1-wide tile, calling `body.template operator()<W>(c0)`
- * for each. A tile's width is a compile-time constant, so a body that
- * keeps one accumulator per column in a `double acc[W]` gets them in
- * registers and vectorized across columns. Columns must be independent:
- * tiling then never changes a result bit.
- */
-template <class Body>
-void
-forEachColumnTile(size_t count, Body &&body)
-{
-    size_t c0 = 0;
-    for (; c0 + 8 <= count; c0 += 8)
-        body.template operator()<8>(c0);
-    if (count - c0 >= 4) {
-        body.template operator()<4>(c0);
-        c0 += 4;
-    }
-    if (count - c0 >= 2) {
-        body.template operator()<2>(c0);
-        c0 += 2;
-    }
-    if (count - c0 >= 1)
-        body.template operator()<1>(c0);
-}
-
 } // namespace dosa
 
 #endif // DOSA_LINALG_MATRIX_HH

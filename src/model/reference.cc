@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "model/analytical.hh" // orderPermutation only
 #include "util/logging.hh"
@@ -113,15 +114,37 @@ quantizeToBlocks(double bytes)
     return std::ceil(bytes / kDramBlockBytes) * kDramBlockBytes;
 }
 
+void
+requireValid(const char *who, const Layer &layer, const Mapping &mapping)
+{
+    if (!mapping.complete(layer) || !mapping.positive())
+        panic(std::string(who) + ": mapping is not a valid complete "
+              "mapping for layer " + layer.str());
+}
+
 } // namespace
+
+bool
+referenceFits(const Layer &layer, const Mapping &mapping,
+              const HardwareConfig &hw)
+{
+    requireValid("referenceFits", layer, mapping);
+    const Factors<int64_t> &f = mapping.factors;
+    return static_cast<double>(std::max(f.spatial_c, f.spatial_k)) <=
+                   static_cast<double>(hw.pe_dim) &&
+           tileFootprint(layer, mapping, kAccumulator, Tensor::Output) <=
+                   hw.accumWords() &&
+           tileFootprint(layer, mapping, kScratchpad, Tensor::Weight) +
+                           tileFootprint(layer, mapping, kScratchpad,
+                                   Tensor::Input) <=
+                   hw.spadWords();
+}
 
 RefEval
 referenceEval(const Layer &layer, const Mapping &mapping,
               const HardwareConfig &hw)
 {
-    if (!mapping.complete(layer) || !mapping.positive())
-        panic("referenceEval: mapping is not a valid complete mapping "
-              "for layer " + layer.str());
+    requireValid("referenceEval", layer, mapping);
 
     RefEval ev;
     const double macs = layer.macs();
@@ -200,9 +223,7 @@ referenceEval(const Layer &layer, const Mapping &mapping,
     ev.spad_i_tile_words =
             tileFootprint(layer, mapping, kScratchpad, Tensor::Input);
     ev.spad_words_req = ev.spad_w_tile_words + ev.spad_i_tile_words;
-    ev.fits = ev.pe_dim_req <= static_cast<double>(hw.pe_dim) &&
-              ev.accum_words_req <= hw.accumWords() &&
-              ev.spad_words_req <= hw.spadWords();
+    ev.fits = referenceFits(layer, mapping, hw);
 
     // Latency: roofline over compute and every memory level (Eq 12),
     // with block-quantized DRAM traffic.

@@ -69,6 +69,14 @@ RefEval referenceEval(const Layer &layer, const Mapping &mapping,
                       const HardwareConfig &hw);
 
 /**
+ * referenceEval(layer, mapping, hw).fits without the traffic model: the
+ * mapping's PE side, accumulator tile and scratchpad tiles fit `hw`.
+ * This is the one fit rule; rejection samplers probe with it.
+ */
+bool referenceFits(const Layer &layer, const Mapping &mapping,
+                   const HardwareConfig &hw);
+
+/**
  * Infer the minimal hardware configuration supporting every
  * layer/mapping pair (Fig. 3: parameter-wise max, then quantization to
  * integer PE side and whole-KiB SRAMs).

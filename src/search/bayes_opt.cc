@@ -121,53 +121,52 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
             // Inner loop: per candidate hardware, pick the LCB-best
             // mapping per layer; outer loop: pick the hardware whose
             // predicted network score is best. Hardware proposals stay
-            // on the main stream (serial, cheap); the expensive
-            // (hardware x layer) pool slices are scored in parallel,
-            // each drawing its map_candidates from its own stream so
-            // any jobs value reproduces the same pool.
+            // on the main stream (serial, cheap). Each (hardware x
+            // layer) slice draws its map_candidates from its own
+            // stream, in parallel, so any jobs value reproduces the
+            // same pool; the stream order is the selection order. The
+            // round's whole pool is then scored with one lcbBatch.
             const size_t n_layers = layers.size();
             std::vector<HardwareConfig> cand_hws(
                     static_cast<size_t>(cfg.hw_candidates));
             for (HardwareConfig &cand : cand_hws)
                 cand = randomHardware(rng);
 
-            struct Slice
-            {
-                double lcb = std::numeric_limits<double>::infinity();
-                Mapping map;
-            };
-            auto slices = pool.parallelMap(
-                    cand_hws.size() * n_layers, [&](size_t t) {
+            const size_t per_slice =
+                    static_cast<size_t>(cfg.map_candidates);
+            const size_t n_slices = cand_hws.size() * n_layers;
+            std::vector<Mapping> cands(n_slices * per_slice);
+            std::vector<double> rows(cands.size() * kFeatureSize);
+            pool.parallelFor(n_slices, [&](size_t t) {
                 size_t hc = t / n_layers;
                 size_t li = t % n_layers;
                 uint64_t sid = (static_cast<uint64_t>(sample) *
                         cand_hws.size() + hc) * n_layers + li;
                 Rng srng = Rng::stream(cfg.seed, sid);
-                // Draw every candidate first (the stream order is the
-                // selection order), then score them in one batch.
-                std::vector<Mapping> cands;
-                std::vector<double> rows;
-                cands.reserve(static_cast<size_t>(cfg.map_candidates));
-                rows.reserve(static_cast<size_t>(cfg.map_candidates) *
-                        kFeatureSize);
-                for (int mc = 0; mc < cfg.map_candidates; ++mc) {
-                    cands.push_back(randomValidMapping(layers[li],
-                            cand_hws[hc], srng, 16));
+                for (size_t mc = t * per_slice; mc < (t + 1) * per_slice;
+                     ++mc) {
+                    cands[mc] = randomValidMapping(layers[li],
+                            cand_hws[hc], srng, 16);
                     std::vector<double> f = encodeFeatures(layers[li],
-                            cands.back(), cand_hws[hc]);
-                    rows.insert(rows.end(), f.begin(), f.end());
+                            cands[mc], cand_hws[hc]);
+                    std::copy(f.begin(), f.end(),
+                            rows.data() + mc * kFeatureSize);
                 }
-                std::vector<double> lcbs(cands.size());
-                gp.lcbBatch(rows, cfg.lcb_kappa, lcbs);
-                Slice s;
-                for (size_t mc = 0; mc < cands.size(); ++mc) {
-                    if (lcbs[mc] < s.lcb) {
-                        s.lcb = lcbs[mc];
-                        s.map = std::move(cands[mc]);
-                    }
-                }
-                return s;
             });
+            std::vector<double> lcbs(cands.size());
+            gp.lcbBatch(rows, cfg.lcb_kappa, lcbs, &pool);
+
+            // Per slice, the strict-< argmin in candidate order.
+            std::vector<double> slice_lcb(n_slices,
+                    std::numeric_limits<double>::infinity());
+            std::vector<size_t> slice_pick(n_slices, 0);
+            for (size_t mc = 0; mc < cands.size(); ++mc) {
+                const size_t t = mc / per_slice;
+                if (lcbs[mc] < slice_lcb[t]) {
+                    slice_lcb[t] = lcbs[mc];
+                    slice_pick[t] = mc;
+                }
+            }
 
             double best_score =
                     std::numeric_limits<double>::infinity();
@@ -175,13 +174,13 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
                 // Sum of per-layer log-EDP LCBs scores the design.
                 double score = 0.0;
                 for (size_t li = 0; li < n_layers; ++li)
-                    score += slices[hc * n_layers + li].lcb *
+                    score += slice_lcb[hc * n_layers + li] *
                             static_cast<double>(layers[li].count);
                 if (score < best_score) {
                     best_score = score;
                     hw = cand_hws[hc];
                     for (size_t li = 0; li < n_layers; ++li)
-                        maps[li] = slices[hc * n_layers + li].map;
+                        maps[li] = cands[slice_pick[hc * n_layers + li]];
                 }
             }
         }

@@ -118,8 +118,7 @@ randomValidMapping(const Layer &layer, const HardwareConfig &hw, Rng &rng,
         // Deliberately not routed through the EvalCache: rejection
         // samples are almost always unique, so memoizing the fit
         // probe would only fill the cache with dead entries.
-        RefEval ev = referenceEval(layer, m, hw);
-        if (ev.fits)
+        if (referenceFits(layer, m, hw))
             return m;
     }
     return minimalMapping(layer);

@@ -360,8 +360,10 @@ TEST(ExecDeterminism, BayesOptSerialEqualsParallel)
     BayesOptConfig cfg;
     cfg.warmup_samples = 6;
     cfg.total_samples = 14;
+    // 3 x 12 = 36 candidates per round: two GP query tiles, so at
+    // jobs 4 the round's acquisition is split over the pool too.
     cfg.hw_candidates = 3;
-    cfg.map_candidates = 4;
+    cfg.map_candidates = 12;
     cfg.seed = 21;
     cfg.jobs = 1;
     SearchResult serial = bayesOptSearch(layers, cfg);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "exec/thread_pool.hh"
 #include "gp/gaussian_process.hh"
 #include "linalg/cholesky.hh"
 #include "util/rng.hh"
@@ -205,8 +206,8 @@ TEST(Gp, BatchedLcbEqualsNaiveReferenceBitwise)
     const NaiveGp naive(p, x, y);
 
     std::vector<std::vector<double>> queries(x.begin(), x.begin() + 20);
-    queries.reserve(40);
-    for (int i = 0; i < 20; ++i) {
+    queries.reserve(70);
+    for (int i = 0; i < 50; ++i) {
         std::vector<double> f(5);
         for (double &v : f)
             v = rng.uniformReal(-3.0, 3.0);
@@ -224,8 +225,11 @@ TEST(Gp, BatchedLcbEqualsNaiveReferenceBitwise)
     }
     EXPECT_GT(clipped, 0) << "no query exercised the variance clip";
 
-    // Batches of every width 1..9 plus the whole set at once.
-    for (size_t width : {1, 2, 3, 4, 5, 6, 7, 8, 9, 40}) {
+    // Batches of every width 1..9, widths around the 32-query tile and
+    // its 8-lane vectors, and the whole set at once; the whole set
+    // also over a pool, whose threads split the tiles.
+    ThreadPool pool(3);
+    for (size_t width : {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 70}) {
         for (size_t lo = 0; lo < queries.size(); lo += width) {
             const size_t hi = std::min(queries.size(), lo + width);
             std::vector<double> rows;
@@ -233,7 +237,7 @@ TEST(Gp, BatchedLcbEqualsNaiveReferenceBitwise)
                 rows.insert(rows.end(), queries[q].begin(),
                             queries[q].end());
             std::vector<double> out(hi - lo);
-            gp.lcbBatch(rows, kappa, out);
+            gp.lcbBatch(rows, kappa, out, width == 70 ? &pool : nullptr);
             for (size_t q = lo; q < hi; ++q)
                 EXPECT_EQ(std::bit_cast<uint64_t>(out[q - lo]),
                           std::bit_cast<uint64_t>(expect[q]))

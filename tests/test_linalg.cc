@@ -11,6 +11,7 @@
 
 #include "linalg/cholesky.hh"
 #include "linalg/matrix.hh"
+#include "linalg/tile_kernels.hh"
 #include "util/rng.hh"
 
 namespace dosa {
@@ -152,21 +153,35 @@ referenceSolveLower(const Matrix &l, const std::vector<double> &b)
     return y;
 }
 
+/** Random SPD matrix of order n (B B^T plus n on the diagonal). */
+Matrix
+randomSpd(size_t n, Rng &rng)
+{
+    Matrix b(n, n);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < n; ++j)
+            b(i, j) = rng.gaussian();
+    Matrix a = b.matmul(b.transpose());
+    a.addDiagonal(static_cast<double>(n));
+    return a;
+}
+
+/**
+ * Column counts that reach every tile path of both kernel families:
+ * each portable 8/4/2/1 tail, and the vector family's 32-, 16- and
+ * 8-wide tiles, alone, full and with a tail.
+ */
+constexpr size_t kTileWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17,
+                                  31, 32, 33, 63, 64, 65};
+
 TEST(Cholesky, BlockSolveEqualsPerColumnSolveLowerBitwise)
 {
-    // Sizes cover tiny systems and a GP-sized one; nrhs 1..9 covers
-    // every vector-width tail of the across-columns inner loop. Each
-    // column must match both solveLower and the scalar reference.
+    // Sizes cover tiny systems and a GP-sized one. Each column must
+    // match both solveLower and the scalar reference.
     for (size_t n : {1, 2, 3, 7, 31, 300}) {
         Rng rng(static_cast<uint64_t>(n) * 31 + 5);
-        Matrix b(n, n);
-        for (size_t i = 0; i < n; ++i)
-            for (size_t j = 0; j < n; ++j)
-                b(i, j) = rng.gaussian();
-        Matrix a = b.matmul(b.transpose());
-        a.addDiagonal(static_cast<double>(n));
-        Cholesky chol(a);
-        for (size_t nrhs = 1; nrhs <= 9; ++nrhs) {
+        Cholesky chol(randomSpd(n, rng));
+        for (size_t nrhs : kTileWidths) {
             std::vector<std::vector<double>> cols(nrhs,
                     std::vector<double>(n));
             std::vector<double> block(n * nrhs);
@@ -191,6 +206,70 @@ TEST(Cholesky, BlockSolveEqualsPerColumnSolveLowerBitwise)
                             << " i=" << i;
                 }
             }
+        }
+    }
+}
+
+TEST(TileKernels, DispatchedKernelsEqualPortableBitwise)
+{
+    // Whatever family this CPU dispatches to, solveLowerBlock and the
+    // GP's distance tiles must give the portable loops' bits. On a CPU
+    // without AVX-512F both sides run the portable family.
+    using detail::TileIsa;
+    const TileIsa host = detail::hostTileIsa();
+    RecordProperty("tile_isa", host == TileIsa::Avx512 ? "avx512"
+                                                       : "portable");
+    for (size_t n : {1, 7, 31, 300}) {
+        Rng rng(static_cast<uint64_t>(n) * 17 + 3);
+        Cholesky chol(randomSpd(n, rng));
+        for (size_t nrhs : kTileWidths) {
+            std::vector<double> block(n * nrhs);
+            for (double &v : block)
+                v = rng.gaussian();
+            std::vector<double> portable = block;
+            chol.solveLowerBlock(block, nrhs);
+            detail::forwardSubstitute(TileIsa::Portable, chol.factor(),
+                    portable.data(), nrhs);
+            for (size_t e = 0; e < block.size(); ++e)
+                ASSERT_EQ(std::bit_cast<uint64_t>(block[e]),
+                          std::bit_cast<uint64_t>(portable[e]))
+                        << "solve n=" << n << " nrhs=" << nrhs
+                        << " element " << e;
+        }
+    }
+    // Distances: BB-BO's 43 features and a few odd sizes, every width.
+    for (size_t dim : {1, 5, 43}) {
+        Rng rng(dim);
+        const size_t n = 37;
+        std::vector<double> x(n * dim);
+        for (double &v : x)
+            v = rng.uniformReal(-4.0, 4.0);
+        for (size_t w : kTileWidths) {
+            std::vector<double> qt(dim * w);
+            for (double &v : qt)
+                v = rng.uniformReal(-4.0, 4.0);
+            std::vector<double> got(n * w), portable(n * w);
+            detail::squaredDistances(host, x.data(), n, dim, qt.data(),
+                    w, got.data());
+            detail::squaredDistances(TileIsa::Portable, x.data(), n, dim,
+                    qt.data(), w, portable.data());
+            for (size_t e = 0; e < got.size(); ++e)
+                ASSERT_EQ(std::bit_cast<uint64_t>(got[e]),
+                          std::bit_cast<uint64_t>(portable[e]))
+                        << "distance dim=" << dim << " w=" << w
+                        << " element " << e;
+            // And the portable family is the plain scalar sum.
+            for (size_t i = 0; i < n; ++i)
+                for (size_t c = 0; c < w; ++c) {
+                    double d2 = 0.0;
+                    for (size_t f = 0; f < dim; ++f) {
+                        double d = qt[f * w + c] - x[i * dim + f];
+                        d2 += d * d;
+                    }
+                    ASSERT_EQ(std::bit_cast<uint64_t>(portable[i * w + c]),
+                              std::bit_cast<uint64_t>(d2))
+                            << "distance dim=" << dim << " w=" << w;
+                }
         }
     }
 }

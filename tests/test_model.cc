@@ -269,6 +269,37 @@ TEST(Model, MinimalHwInferenceCoversAllMappings)
     }
 }
 
+TEST(Model, ReferenceFitsEqualsReferenceEvalFits)
+{
+    // Random (layer, mapping, hw) triples. Mappings may use up to
+    // 128x128 PEs while the array is drawn from 4..128, and buffers
+    // span small to large, so each of the three capacity checks both
+    // passes and fails somewhere.
+    static const int64_t pe_options[] = {4, 8, 16, 32, 64, 128};
+    std::vector<Layer> layers;
+    for (const Network &net : {resnet50(), bertBase(), unet()})
+        layers.insert(layers.end(), net.layers.begin(), net.layers.end());
+    Rng rng(1313);
+    int fits = 0, misfits = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const Layer &l = layers[size_t(rng.uniformInt(0,
+                static_cast<int64_t>(layers.size()) - 1))];
+        HardwareConfig hw;
+        hw.pe_dim = pe_options[rng.uniformInt(0, 5)];
+        hw.accum_kib = static_cast<int64_t>(
+                std::llround(rng.logUniform(1.0, 512.0)));
+        hw.spad_kib = static_cast<int64_t>(
+                std::llround(rng.logUniform(1.0, 1024.0)));
+        Mapping m = randomMapping(l, rng, 128);
+        const bool expect = referenceEval(l, m, hw).fits;
+        ASSERT_EQ(referenceFits(l, m, hw), expect)
+                << l.str() << " on " << hw.str() << ": " << m.str();
+        (expect ? fits : misfits) += 1;
+    }
+    EXPECT_GT(fits, 100);
+    EXPECT_GT(misfits, 100);
+}
+
 TEST(Model, NetworkEvalWeightsByLayerCount)
 {
     Layer a = Layer::conv("a", 1, 8, 16, 16);
