@@ -95,7 +95,9 @@ distanceTile(const double *x, size_t n, size_t dim, const double *qt,
 // The same loops over V independent 8-lane vectors. Intrinsics are
 // plain vector arithmetic to the compiler, so without
 // -ffp-contract=off a multiply feeding an add may become one FMA and
-// round once instead of twice.
+// round once instead of twice. The loops over v are unrolled
+// explicitly: -O2 leaves them rolled, which keeps the accumulators
+// in memory and halves the solve's speed.
 
 template <size_t V>
 __attribute__((target("avx512f"))) void
@@ -106,16 +108,19 @@ forwardTileAvx512(const Matrix &l, double *block, size_t nrhs, size_t c0)
     for (size_t i = 0; i < n; ++i, lrow += n) {
         double *yi = block + i * nrhs + c0;
         __m512d acc[V];
+#pragma GCC unroll 4
         for (size_t v = 0; v < V; ++v)
             acc[v] = _mm512_loadu_pd(yi + 8 * v);
         for (size_t k = 0; k < i; ++k) {
             const __m512d lik = _mm512_set1_pd(lrow[k]);
             const double *yk = block + k * nrhs + c0;
+#pragma GCC unroll 4
             for (size_t v = 0; v < V; ++v)
                 acc[v] = _mm512_sub_pd(acc[v], _mm512_mul_pd(lik,
                         _mm512_loadu_pd(yk + 8 * v)));
         }
         const __m512d lii = _mm512_set1_pd(lrow[i]);
+#pragma GCC unroll 4
         for (size_t v = 0; v < V; ++v)
             _mm512_storeu_pd(yi + 8 * v, _mm512_div_pd(acc[v], lii));
     }
@@ -129,17 +134,20 @@ distanceTileAvx512(const double *x, size_t n, size_t dim, const double *qt,
     for (size_t i = 0; i < n; ++i) {
         const double *xi = x + i * dim;
         __m512d acc[V];
+#pragma GCC unroll 4
         for (size_t v = 0; v < V; ++v)
             acc[v] = _mm512_setzero_pd();
         for (size_t f = 0; f < dim; ++f) {
             const __m512d xf = _mm512_set1_pd(xi[f]);
             const double *qf = qt + f * w + c0;
+#pragma GCC unroll 4
             for (size_t v = 0; v < V; ++v) {
                 const __m512d d = _mm512_sub_pd(
                         _mm512_loadu_pd(qf + 8 * v), xf);
                 acc[v] = _mm512_add_pd(acc[v], _mm512_mul_pd(d, d));
             }
         }
+#pragma GCC unroll 4
         for (size_t v = 0; v < V; ++v)
             _mm512_storeu_pd(d2 + i * w + c0 + 8 * v, acc[v]);
     }
