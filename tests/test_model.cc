@@ -273,8 +273,7 @@ TEST(Model, ReferenceFitsEqualsReferenceEvalFits)
 {
     // Random (layer, mapping, hw) triples. Mappings may use up to
     // 128x128 PEs while the array is drawn from 4..128, and buffers
-    // span small to large, so each of the three capacity checks both
-    // passes and fails somewhere.
+    // span small to large, so both verdicts occur often.
     static const int64_t pe_options[] = {4, 8, 16, 32, 64, 128};
     std::vector<Layer> layers;
     for (const Network &net : {resnet50(), bertBase(), unet()})
