@@ -9,7 +9,6 @@
  *   --seed N    base RNG seed (default 1)
  *   --jobs N    worker threads for the workload/run fan-out (default 1;
  *               results are bit-identical for any value)
- *   --no-cache  disable the shared evaluation cache (src/exec)
  *   --algo A / --algos A,B,...  restrict searcher-sweeping benches to
  *               the named registry algorithms ("all" = every entry of
  *               Search::algorithms(); unknown names are fatal, as is
@@ -27,9 +26,9 @@
  * mirroring them to CSV files in the working directory.
  *
  * The perf footer every bench ends with is one snapshot of the global
- * metrics registry (obs/metrics.hh): wall clock, the eval-cache line,
- * then every counter/gauge/histogram the run touched. Trajectory
- * benches additionally append one canonical-JSON line (with a
+ * metrics registry (obs/metrics.hh): wall clock, then every
+ * counter/gauge/histogram the run touched. Trajectory benches
+ * additionally append one canonical-JSON line (with a
  * `schema` field) to their `BENCH_*.json` file via
  * `appendTrajectoryLine` — the format `bench/check_trajectory` diffs.
  */
@@ -46,7 +45,6 @@
 
 #include "api/search_api.hh"
 #include "core/objective.hh"
-#include "exec/eval_cache.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -68,7 +66,6 @@ struct Scale
     bool smoke = false;
     uint64_t seed = 1;
     int jobs = 1;
-    bool no_cache = false;
     /** --algo/--algos selection (validated); empty = bench default. */
     std::vector<std::string> algos;
     /** --workload/--workloads selection; empty = bench default. */
@@ -223,7 +220,6 @@ parseScale(int argc, const char *const *argv, bool algo_sweep = false,
     s.smoke = cli.has("smoke");
     s.seed = static_cast<uint64_t>(cli.getInt("seed", 1));
     s.jobs = static_cast<int>(cli.getInt("jobs", 1));
-    s.no_cache = cli.has("no-cache");
     s.algos = parseAlgos(cli);
     s.workloads = parseWorkloads(cli);
     s.trace_file = cli.get("trace", "");
@@ -233,7 +229,6 @@ parseScale(int argc, const char *const *argv, bool algo_sweep = false,
     if (!workload_sweep && !s.workloads.empty())
         fatal("--workload/--workloads: this bench runs a fixed "
               "workload set and does not sweep the registry");
-    globalEvalCache().setEnabled(!s.no_cache);
     if (!s.trace_file.empty())
         obs::globalTracer().enable();
     return s;
@@ -252,10 +247,8 @@ banner(const std::string &title, const Scale &scale)
 {
     std::printf("==================================================\n");
     std::printf("%s\n", title.c_str());
-    std::printf("mode: %s, seed: %llu, jobs: %d, cache: %s\n",
-            modeName(scale),
-            static_cast<unsigned long long>(scale.seed), scale.jobs,
-            scale.no_cache ? "off" : "on");
+    std::printf("mode: %s, seed: %llu, jobs: %d\n", modeName(scale),
+            static_cast<unsigned long long>(scale.seed), scale.jobs);
     std::printf("==================================================\n");
 }
 
@@ -307,13 +300,9 @@ class WallTimer
 
 /**
  * Print the standard perf footer of every figure bench, driven by one
- * snapshot of the global metrics registry: the wall clock and the
- * eval-cache line first (their wording is load-bearing — CI greps the
- * smoke logs for "wall clock|eval cache"), then every other counter,
- * gauge and duration histogram the run touched. The cache mode is
- * stated explicitly: under --no-cache the counters never move, and
- * printing their stale zeros would make a PERF.md row ambiguous about
- * which mode produced it.
+ * snapshot of the global metrics registry: the wall clock first (its
+ * wording is load-bearing — CI greps the smoke logs for "wall clock"),
+ * then every counter, gauge and duration histogram the run touched.
  *
  * When the run was started with --trace FILE the footer also stops
  * the tracer and dumps the Chrome trace-event JSON.
@@ -323,32 +312,16 @@ perfFooter(const Scale &scale, const WallTimer &timer)
 {
     obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
 
-    if (globalEvalCache().enabled())
-        std::printf("\nwall clock: %.2f s, eval cache: %s\n",
-                timer.seconds(),
-                globalEvalCache().stats().str().c_str());
-    else
-        std::printf("\nwall clock: %.2f s, eval cache: disabled "
-                    "(--no-cache)\n",
-                timer.seconds());
+    std::printf("\nwall clock: %.2f s\n", timer.seconds());
 
-    // The rest of the snapshot. The eval-cache instruments are
-    // skipped: the line above already reports them.
-    auto skip = [](const std::string &name) {
-        return name.rfind("eval_cache.", 0) == 0;
-    };
     bool any = false;
     for (const auto &[name, value] : snap.counters) {
-        if (skip(name))
-            continue;
         std::printf("%s%s=%llu", any ? " " : "metrics: ",
                 name.c_str(),
                 static_cast<unsigned long long>(value));
         any = true;
     }
     for (const auto &[name, value] : snap.gauges) {
-        if (skip(name))
-            continue;
         std::printf("%s%s=%lld", any ? " " : "metrics: ",
                 name.c_str(), static_cast<long long>(value));
         any = true;

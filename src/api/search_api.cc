@@ -1,18 +1,16 @@
 /**
  * @file
  * Facade driver: searcher registry storage, spec validation and the
- * `runSearch` lifecycle (cache policy, SearchControl installation,
- * observer bridging).
+ * `runSearch` lifecycle (SearchControl installation, observer
+ * bridging).
  */
 #include "api/search_api.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
+#include <cmath>
 #include <limits>
 #include <mutex>
 
-#include "exec/eval_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
@@ -112,54 +110,23 @@ checkOptions(const SearchSpec &spec, const Searcher &searcher,
 }
 
 /**
- * Scoped eval-cache policy: applies the spec's mode, restores after.
- *
- * The enabled flag it toggles lives on the process-global EvalCache,
- * so two overlapping non-Inherit guards race: whichever destructor
- * runs last "restores" the flag to a value sampled while the other
- * guard's override was live. The service refuses such specs outright
- * (`SearchService::submit` rejects `cache != Inherit`); direct
- * `runSearch` callers get the docs/ARCHITECTURE.md warning plus the
- * debug assertion below when two non-Inherit guards actually overlap.
+ * Option values the adapters could not narrow to `int` (not finite,
+ * or magnitude past INT_MAX), as an error.
  */
-class CacheModeGuard
+bool
+checkOptionRanges(const OptionBag &options, std::string &error)
 {
-  public:
-    explicit CacheModeGuard(CacheMode mode)
-        : restore_(globalEvalCache().enabled()),
-          active_(mode != CacheMode::Inherit)
-    {
-        if (active_) {
-            [[maybe_unused]] int prev = activeOverrides().fetch_add(
-                    1, std::memory_order_acq_rel);
-            assert(prev == 0 &&
-                    "concurrent runSearch calls with CacheMode != "
-                    "Inherit race on the process-global EvalCache "
-                    "flag; use CacheMode::Inherit and set the global "
-                    "cache policy once instead");
-            globalEvalCache().setEnabled(mode == CacheMode::Enabled);
-        }
+    constexpr int kMax = std::numeric_limits<int>::max();
+    for (const std::string &key : options.keys()) {
+        if (std::fabs(options.get(key, 0.0)) <= kMax)
+            continue;
+        error = "option \"" + key +
+                "\" must be finite with magnitude at most " +
+                std::to_string(kMax);
+        return false;
     }
-
-    ~CacheModeGuard()
-    {
-        if (active_) {
-            globalEvalCache().setEnabled(restore_);
-            activeOverrides().fetch_sub(1, std::memory_order_acq_rel);
-        }
-    }
-
-  private:
-    static std::atomic<int> &
-    activeOverrides()
-    {
-        static std::atomic<int> count{0};
-        return count;
-    }
-
-    bool restore_;
-    bool active_;
-};
+    return true;
+}
 
 } // namespace
 
@@ -233,7 +200,8 @@ validateSpec(const SearchSpec &spec, std::string &error)
                 "\" (available: " + Search::algorithmList() + ")";
         return false;
     }
-    if (!checkOptions(spec, *searcher, error))
+    if (!checkOptions(spec, *searcher, error) ||
+        !checkOptionRanges(spec.options, error))
         return false;
     if (!spec.workload_name.empty()) {
         if (!spec.workload.empty()) {
@@ -301,7 +269,6 @@ runSearch(const SearchSpec &spec, SearchObserver *observer)
     }
     const Searcher *searcher = Search::find(spec.algorithm);
 
-    CacheModeGuard cache_guard(spec.cache);
     obs::TraceSpan run_span("runSearch", "search");
     obs::counter("api.searches").add(1);
 

@@ -42,9 +42,8 @@ namespace dosa {
  * workload name are fatal configuration errors listing the valid
  * choices), resolves a `spec.workload_name` into its registered
  * layers (a by-name run is byte-identical to inlining those layers),
- * applies the cache policy for the duration of the run, installs a
- * `SearchControl` carrying the budget/deadline and the observer
- * bridge, and dispatches to the registered searcher (which
+ * installs a `SearchControl` carrying the budget/deadline and the
+ * observer bridge, and dispatches to the registered searcher (which
  * pre-reserves the result trace from its planned sample count).
  * For a fixed spec the result is bit-identical for any `spec.jobs`
  * value and for the presence/absence of an observer.
@@ -58,7 +57,9 @@ SearchReport runSearch(const SearchSpec &spec,
  * the registry), option keys the chosen searcher does not consume,
  * an empty workload or ill-formed layers, an unknown or ambiguous
  * `workload_name` (the message lists the workload registry),
- * negative budget limits.
+ * negative budget limits, and option values that are not finite or
+ * whose magnitude exceeds INT_MAX (every option is a count, flag, enum
+ * or small real, and the adapters narrow counts to `int`).
  * Returns false and sets `error` instead of exiting — the check a
  * long-running caller (the search service) runs on untrusted specs
  * before dispatching, so a bad request cannot take the process down.

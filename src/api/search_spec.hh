@@ -2,8 +2,8 @@
  * @file
  * SearchSpec: the one self-contained description of a search run
  * consumed by the `src/api` facade — workload, objective mode, a
- * unified budget (sample cap + wall-clock deadline), seed/jobs/
- * scorer/cache knobs and a loosely-typed per-algorithm option bag.
+ * unified budget (sample cap + wall-clock deadline), seed/jobs/scorer
+ * knobs and a loosely-typed per-algorithm option bag.
  *
  * Every registered searcher (`Search::algorithms()`) runs from the
  * same spec shape, so benches and services can sweep algorithms under
@@ -56,20 +56,6 @@ struct SearchBudget
 };
 
 /**
- * Shared evaluation-cache policy for one run. The EvalCache (and its
- * enabled flag) is process-global, so `Enabled`/`Disabled` are A/B
- * timing knobs for one run at a time — concurrent `runSearch` calls
- * toggling it in opposite directions would fight over the same flag.
- * Runs that fan out in parallel (e.g. bench cells) use `Inherit`.
- */
-enum class CacheMode
-{
-    Inherit,  ///< leave the global EvalCache as the caller configured it
-    Enabled,  ///< force the cache on for this run (restored after)
-    Disabled, ///< force the cache off for this run (restored after)
-};
-
-/**
  * Loosely-typed per-algorithm numeric options. Keys are flat names
  * ("start_points", "mappings_per_hw", ...); each registered searcher
  * documents and validates its own set via `Searcher::optionKeys` —
@@ -77,7 +63,9 @@ enum class CacheMode
  * silently fall back to defaults. All values are doubles; integer
  * and boolean options are stored exactly (counts are far below
  * 2^53), and enum-valued options (e.g. the DOSA "strategy") store
- * the enumerator value.
+ * the enumerator value. `validateSpec` rejects a value that is not
+ * finite or whose magnitude exceeds INT_MAX, so `getInt` on a
+ * validated bag never leaves the range of `int`.
  */
 class OptionBag
 {
@@ -170,13 +158,10 @@ struct SearchSpec
     /** Worker threads; results are bit-identical for any value. */
     int jobs = 1;
 
-    /** Evaluation-cache policy for this run. */
-    CacheMode cache = CacheMode::Inherit;
-
     /**
      * Optional concrete-design latency scorer; every searcher routes
      * per-design latency queries through its batched `scoreDesigns`
-     * seam. Empty = (cached) reference-model latency.
+     * seam. Empty = reference-model latency.
      */
     LatencyScorer scorer;
 

@@ -5,6 +5,7 @@
  */
 #include "api/spec_json.hh"
 
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -12,15 +13,19 @@ namespace dosa {
 
 namespace {
 
-const char *
-cacheModeName(CacheMode mode)
+/** Read an integer member into an `int`; a value outside it fails. */
+bool
+readNarrowInt(json::ObjectReader &r, const char *key, int &out)
 {
-    switch (mode) {
-      case CacheMode::Inherit: return "inherit";
-      case CacheMode::Enabled: return "enabled";
-      case CacheMode::Disabled: return "disabled";
-    }
-    return "inherit";
+    int64_t v = out;
+    if (!r.readInt(key, v))
+        return false;
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        return r.fail(std::string(key) + ": " + std::to_string(v) +
+                      " is outside the range of int");
+    out = static_cast<int>(v);
+    return true;
 }
 
 json::Value
@@ -146,7 +151,6 @@ specToJsonValue(const SearchSpec &spec)
 
     v.set("seed", json::Value::number(spec.seed));
     v.set("jobs", json::Value::number(int64_t(spec.jobs)));
-    v.set("cache", json::Value::string(cacheModeName(spec.cache)));
     v.set("fixed_hw", hwToJson(spec.fixed_hw));
 
     json::Value options = json::Value::object();
@@ -225,30 +229,14 @@ specFromJsonValue(const json::Value &value, SearchSpec &out,
 
     if (const json::Value *budget = r.consume("budget")) {
         json::ObjectReader b(*budget, "spec.budget", error);
-        int64_t max_samples = out.budget.max_samples;
-        b.readInt("max_samples", max_samples);
-        out.budget.max_samples = static_cast<int>(max_samples);
+        readNarrowInt(b, "max_samples", out.budget.max_samples);
         b.readDouble("deadline_s", out.budget.deadline_s);
         if (!b.finish())
             return false;
     }
 
     r.readUint("seed", out.seed);
-    int64_t jobs = out.jobs;
-    r.readInt("jobs", jobs);
-    out.jobs = static_cast<int>(jobs);
-
-    std::string cache = cacheModeName(out.cache);
-    r.readString("cache", cache);
-    if (cache == "inherit")
-        out.cache = CacheMode::Inherit;
-    else if (cache == "enabled")
-        out.cache = CacheMode::Enabled;
-    else if (cache == "disabled")
-        out.cache = CacheMode::Disabled;
-    else
-        return r.fail("cache: expected \"inherit\", \"enabled\" or "
-                      "\"disabled\"");
+    readNarrowInt(r, "jobs", out.jobs);
 
     if (const json::Value *hw = r.consume("fixed_hw"))
         if (!hwFromJson(*hw, "spec.fixed_hw", out.fixed_hw, error))

@@ -9,7 +9,6 @@
 
 #include "arch/area_model.hh"
 #include "core/adam.hh"
-#include "exec/eval_cache.hh"
 #include "exec/thread_pool.hh"
 #include "mapping/rounding.hh"
 #include "model/reference.hh"
@@ -116,14 +115,14 @@ scoreDesign(const std::vector<Layer> &layers,
     const size_t n = layers.size();
     // Latency goes through the batched seam so amortizing backends
     // see the whole network at once; energy always comes from the
-    // (cached) reference model.
+    // reference model.
     std::vector<double> lats(n, 0.0);
     if (scorer)
         scorer.scoreDesigns(makeLayerQueries(layers, mappings, hw),
                 lats);
     NetworkEval out;
     for (size_t li = 0; li < n; ++li) {
-        LayerEval ev = cachedEval(layers[li], mappings[li], hw);
+        RefEval ev = referenceEval(layers[li], mappings[li], hw);
         double lat = scorer ? lats[li] : ev.latency;
         double cnt = static_cast<double>(layers[li].count);
         out.energy_uj += cnt * ev.energy_uj;
@@ -165,7 +164,7 @@ selectOrders(const std::vector<Layer> &layers,
     for (size_t li = 0; li < n; ++li) {
         for (int o = 0; o < kNumOrders; ++o) {
             size_t i = li * size_t(kNumOrders) + size_t(o);
-            LayerEval ev = cachedEval(layers[li], variants[i], hw);
+            RefEval ev = referenceEval(layers[li], variants[i], hw);
             double lat = scorer ? lats[i] : ev.latency;
             double cnt = static_cast<double>(layers[li].count);
             energy[li][size_t(o)] = cnt * ev.energy_uj;

@@ -12,8 +12,8 @@
 
 #include "arch/area_model.hh"
 #include "autodiff/var.hh"
-#include "exec/eval_cache.hh"
 #include "model/analytical.hh"
+#include "model/reference.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 
@@ -55,7 +55,7 @@ LatencyScorer::scoreDesigns(std::span<const LatencyQuery> queries,
     for (size_t i = 0; i < queries.size(); ++i) {
         const LatencyQuery &q = queries[i];
         out[i] = point_ ? point_(*q.layer, *q.mapping, *q.hw)
-                        : cachedEval(*q.layer, *q.mapping, *q.hw)
+                        : referenceEval(*q.layer, *q.mapping, *q.hw)
                                   .latency;
     }
 }

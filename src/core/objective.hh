@@ -56,9 +56,8 @@ makeLayerQueries(const std::vector<Layer> &layers,
 
 /**
  * Concrete-design latency scorer used when ranking rounded mappings.
- * Empty means "reference-model latency" (served through the global
- * EvalCache). Fig. 12 passes a learned predictor here so designs are
- * selected by predicted performance.
+ * Empty means "reference-model latency". Fig. 12 passes a learned
+ * predictor here so designs are selected by predicted performance.
  *
  * Beyond the point call, the class exposes the batched seam the
  * ROADMAP asks for: `scoreDesigns` scores a whole span of queries in
@@ -111,7 +110,7 @@ class LatencyScorer
     /**
      * Score `queries.size()` designs into `out` (same length). Uses
      * the bulk implementation when installed, the point function
-     * otherwise, and cached reference latency when empty.
+     * otherwise, and reference-model latency when empty.
      */
     void scoreDesigns(std::span<const LatencyQuery> queries,
                       std::span<double> out) const;

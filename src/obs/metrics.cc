@@ -11,13 +11,11 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/logging.hh"
-
 namespace dosa::obs {
 
 namespace {
 
-/** FNV-1a over the name; same shard-picking idiom as EvalCache. */
+/** FNV-1a over the name, masked to a shard index. */
 size_t
 nameShard(std::string_view name)
 {
@@ -277,15 +275,6 @@ MetricsRegistry::histogram(std::string_view name)
     return *in.histogram;
 }
 
-void
-MetricsRegistry::registerCollector(Collector fn)
-{
-    if (!fn)
-        panic("MetricsRegistry::registerCollector: null collector");
-    util::MutexLock lock(collectors_mtx_);
-    collectors_.push_back(std::move(fn));
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
@@ -322,13 +311,6 @@ MetricsRegistry::snapshot() const
             }
         }
     }
-    std::vector<Collector> collectors;
-    {
-        util::MutexLock lock(collectors_mtx_);
-        collectors = collectors_;
-    }
-    for (const Collector &fn : collectors)
-        fn(snap);
     return snap;
 }
 

@@ -3,14 +3,10 @@
  * Process-wide metrics registry: one vocabulary for every counter,
  * gauge and duration histogram in the system.
  *
- * Before this subsystem the telemetry was three disconnected
- * dialects — `CacheStats` counters on the eval cache, per-endpoint
- * `EndpointStats` in the service, and hand-rolled perf footers in
- * every bench. The registry unifies them: a source either owns
- * registry *instruments* (cheap atomics it bumps inline) or stays
- * push-free and registers a *collector* that contributes its counters
- * at snapshot time (the eval cache reports this way, so its hot path
- * gains zero cost).
+ * Every source owns registry *instruments* — cheap atomics it bumps
+ * inline, looked up by name once — and `snapshot()` copies all of
+ * them out. The service `stats` frame and every bench perf footer
+ * read that one snapshot.
  *
  * Contracts, in order:
  *
@@ -19,8 +15,9 @@
  *   a search result by a single bit (pinned by tests/test_obs.cc).
  * - *Thread-safe and cheap.* Instrument handles are stable references
  *   to atomics (callers cache them in function-local statics); the
- *   name->instrument maps are mutex-striped like the EvalCache so
- *   first-use lookups from parallel searchers do not contend.
+ *   name->instrument maps are striped over independently locked
+ *   shards so first-use lookups from parallel searchers do not
+ *   contend.
  * - *Deterministic snapshots.* `snapshot()` returns every value
  *   sorted by name, and `MetricsSnapshot::toJson()` serializes via
  *   `util/json` (sorted keys, canonical number tokens), so the same
@@ -70,7 +67,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -237,14 +233,6 @@ class MetricsRegistry
     /** Shard count for the name maps; a power of two. */
     static constexpr size_t kNumShards = 16;
 
-    /**
-     * A pull-style metrics source: called during `snapshot()` to
-     * contribute values for state it already counts elsewhere (the
-     * eval cache's CacheStats). Collectors must be
-     * thread-safe and must not call back into the registry.
-     */
-    using Collector = std::function<void(MetricsSnapshot &)>;
-
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -258,25 +246,18 @@ class MetricsRegistry
     /** The histogram named `name`, created on first use. */
     Histogram &histogram(std::string_view name);
 
-    /** Register a pull-style source (kept for the registry's life). */
-    void registerCollector(Collector fn);
-
-    /**
-     * Copy of every instrument plus every collector's contribution,
-     * sorted by name.
-     */
+    /** Copy of every instrument, sorted by name. */
     MetricsSnapshot snapshot() const;
 
     /**
-     * Gate recording on registry-owned instruments (collectors keep
-     * reporting their sources' live state). Enabled by default;
-     * disabling makes add/set/record no-ops but never changes any
-     * computation either way.
+     * Gate recording on the registry's instruments. Enabled by
+     * default; disabling makes add/set/record no-ops but never changes
+     * any computation either way.
      */
     void setEnabled(bool enabled) { enabled_.store(enabled); }
     bool enabled() const { return enabled_.load(); }
 
-    /** Zero every registry-owned instrument (names survive). */
+    /** Zero every instrument (names survive). */
     void reset();
 
   private:
@@ -300,8 +281,6 @@ class MetricsRegistry
 
     std::array<Shard, kNumShards> shards_;
     std::atomic<bool> enabled_{true};
-    mutable util::Mutex collectors_mtx_;
-    std::vector<Collector> collectors_ GUARDED_BY(collectors_mtx_);
 };
 
 /** The process-wide registry every subsystem reports into. */

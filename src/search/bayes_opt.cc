@@ -8,9 +8,9 @@
 #include <cmath>
 
 #include "arch/area_model.hh"
-#include "exec/eval_cache.hh"
 #include "exec/thread_pool.hh"
 #include "gp/gaussian_process.hh"
+#include "model/reference.hh"
 #include "util/logging.hh"
 
 namespace dosa {
@@ -71,7 +71,7 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
                     makeLayerQueries(layers, maps, hw), lats);
         double e = 0.0, l = 0.0;
         for (size_t li = 0; li < layers.size(); ++li) {
-            LayerEval ev = cachedEval(layers[li], maps[li], hw);
+            RefEval ev = referenceEval(layers[li], maps[li], hw);
             double lat = cfg.scorer ? lats[li] : ev.latency;
             double cnt = static_cast<double>(layers[li].count);
             e += cnt * ev.energy_uj;

@@ -41,7 +41,7 @@ struct BayesOptConfig
      * Optional predicted-latency scorer for the evaluated designs
      * (and the GP's log-EDP training targets); each design's layer
      * latencies go through the batched `scoreDesigns` seam as one
-     * call. Empty = cached reference latency (unchanged behavior).
+     * call. Empty = reference-model latency (unchanged behavior).
      */
     LatencyScorer scorer;
     /**

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "exec/eval_cache.hh"
+#include "model/reference.hh"
 #include "util/divisors.hh"
 #include "util/logging.hh"
 
@@ -91,7 +91,7 @@ cosaMap(const Layer &layer, const HardwareConfig &hw)
         Mapping m = buildCandidate(layer, hw, o[0], o[1]);
         if (!m.complete(layer) || !m.positive())
             panic("cosaMap produced an incomplete mapping");
-        if (cachedEval(layer, m, hw).fits)
+        if (referenceFits(layer, m, hw))
             return m;
     }
     // Unit tiles fit any hardware.

@@ -83,9 +83,6 @@ sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
         if (scorer)
             scorer.scoreDesigns(queries, lats);
         for (size_t li = 0; li < layers.size(); ++li) {
-            // Fresh random mappings are almost always unique; scoring
-            // them through the EvalCache would only pollute it (see
-            // randomValidMapping), so evaluate directly.
             RefEval ev = referenceEval(layers[li], maps[li], hw);
             double lat = scorer ? lats[li] : ev.latency;
             double layer_edp = ev.energy_uj * lat;

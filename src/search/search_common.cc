@@ -115,9 +115,6 @@ randomValidMapping(const Layer &layer, const HardwareConfig &hw, Rng &rng,
 {
     for (int i = 0; i < max_tries; ++i) {
         Mapping m = randomMapping(layer, rng, hw.pe_dim);
-        // Deliberately not routed through the EvalCache: rejection
-        // samples are almost always unique, so memoizing the fit
-        // probe would only fill the cache with dead entries.
         if (referenceFits(layer, m, hw))
             return m;
     }

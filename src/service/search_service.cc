@@ -171,14 +171,6 @@ SearchService::submit(const std::string &line,
     }
 
     // -- Search: validate, then admit or reject with a typed error.
-    if (req.spec.cache != CacheMode::Inherit) {
-        replyError("search", req.id, errc::bad_spec,
-                "spec.cache must be \"inherit\" under the service "
-                "(other modes toggle a process-global cache flag, "
-                "which would race between concurrent searches)",
-                *sink, secondsSince(t0));
-        return;
-    }
     if (!validateSpec(req.spec, error)) {
         replyError("search", req.id, errc::bad_spec, error, *sink,
                 secondsSince(t0));

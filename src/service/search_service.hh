@@ -20,12 +20,9 @@
  * the facade's cooperative-cancel contract. The service never holds
  * its mutex across a `send` (sinks may block on backpressure).
  *
- * Determinism: the service requires `spec.cache == CacheMode::Inherit`
- * (the other modes toggle a process-global eval-cache flag, which
- * would race between concurrent searches) and otherwise adds nothing
- * to the facade's contract — for a fixed spec/seed the streamed
- * frames and final `done` frame are byte-identical across runs,
- * concurrency levels and transports.
+ * Determinism: the service adds nothing to the facade's contract —
+ * for a fixed spec/seed the streamed frames and final `done` frame
+ * are byte-identical across runs, concurrency levels and transports.
  */
 
 #ifndef DOSA_SERVICE_SEARCH_SERVICE_HH

@@ -13,28 +13,6 @@
 
 namespace dosa {
 
-double
-CacheStats::hitRate() const
-{
-    uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                                static_cast<double>(total);
-}
-
-std::string
-CacheStats::str() const
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-            "hits=%llu misses=%llu rate=%.1f%% entries=%zu "
-            "evictions=%llu",
-            static_cast<unsigned long long>(hits),
-            static_cast<unsigned long long>(misses), 100.0 * hitRate(),
-            entries, static_cast<unsigned long long>(evictions));
-    return buf;
-}
-
 Summary
 Summary::of(std::vector<double> v)
 {

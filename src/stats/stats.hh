@@ -9,31 +9,10 @@
 #define DOSA_STATS_STATS_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace dosa {
-
-/**
- * Hit/miss/size counters reported by memoization layers (the exec/
- * evaluation cache). Collected here so every cache in
- * the system reports through one vocabulary.
- */
-struct CacheStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    /** Shard resets forced by the per-shard capacity bound. */
-    uint64_t evictions = 0;
-    size_t entries = 0;
-
-    /** hits / (hits + misses); 0 when the cache was never queried. */
-    double hitRate() const;
-
-    /** One-line "hits=... misses=... rate=...% entries=..." summary. */
-    std::string str() const;
-};
 
 /**
  * Order-statistics summary of one sample set — the vocabulary the

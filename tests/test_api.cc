@@ -14,10 +14,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "api/search_api.hh"
+#include "api/spec_json.hh"
 #include "core/dosa_optimizer.hh"
 #include "model/reference.hh"
 #include "workload/workload_registry.hh"
@@ -494,6 +496,36 @@ TEST(ApiSpecValidation, OptionBagRoundTrips)
     EXPECT_EQ(bag.getInt("b", 0), 2);
     EXPECT_EQ(bag.getInt("c", 7), 7);
     EXPECT_EQ(bag.keys(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(ApiSpecValidation, RejectsNumbersThatWouldLeaveInt)
+{
+    // jobs and max_samples are int fields, so a wider count fails in
+    // the decoder, before it could wrap into a valid-looking value.
+    SearchSpec spec;
+    std::string error;
+    EXPECT_FALSE(specFromJson("{\"budget\":{\"max_samples\":4294967297},"
+                              "\"jobs\":4294967300}",
+            spec, error));
+    EXPECT_NE(error.find("max_samples"), std::string::npos) << error;
+    EXPECT_FALSE(specFromJson("{\"jobs\":2147483648}", spec, error));
+    EXPECT_NE(error.find("jobs"), std::string::npos) << error;
+
+    // Option values reach the adapters' int narrowing, so validation
+    // rejects any that is not finite or exceeds INT_MAX in magnitude.
+    const double bad[] = {1e300, 4294967297.0, -4294967297.0,
+            std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN()};
+    for (double value : bad) {
+        spec = goldenMapperSpec();
+        spec.options.set("samples", value);
+        EXPECT_FALSE(validateSpec(spec, error)) << value;
+        EXPECT_NE(error.find("option \"samples\""), std::string::npos)
+                << error;
+    }
+    spec = goldenMapperSpec();
+    spec.options.set("samples", std::numeric_limits<int>::max());
+    EXPECT_TRUE(validateSpec(spec, error)) << error;
 }
 
 TEST(ApiDeathTest, UnknownAlgorithmIsFatalAndListsRegistry)

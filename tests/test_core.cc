@@ -237,7 +237,7 @@ TEST(Objective, BatchedScorerSeamMatchesPointCalls)
     EXPECT_DOUBLE_EQ(batch_only(layers[1], mappings[1], hw),
             static_cast<double>(layers[1].k) + 0.5);
 
-    // Empty scorer: cached reference latency.
+    // Empty scorer: reference-model latency.
     LatencyScorer empty;
     EXPECT_FALSE(static_cast<bool>(empty));
     empty.scoreDesigns(queries, out);

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the parallel execution runtime (src/exec): ThreadPool
- * semantics, deterministic RNG stream splitting, EvalCache correctness
- * under concurrency, and the serial == parallel contract of every
- * searcher that fans out on the pool.
+ * semantics, deterministic RNG stream splitting, and the serial ==
+ * parallel contract of every searcher that fans out on the pool.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +12,9 @@
 #include <stdexcept>
 
 #include "core/dosa_optimizer.hh"
-#include "exec/eval_cache.hh"
 #include "exec/thread_pool.hh"
-#include "model/reference.hh"
 #include "search/bayes_opt.hh"
 #include "search/random_search.hh"
-#include "search/search_common.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
 
@@ -139,137 +135,6 @@ TEST(RngStream, DoesNotPerturbParent)
     EXPECT_EQ(before, parent2.engine()());
 }
 
-/** A small layer/mapping/hw triple pool for cache tests. */
-std::vector<std::tuple<Layer, Mapping, HardwareConfig>>
-samplePoints(int n, uint64_t seed)
-{
-    std::vector<std::tuple<Layer, Mapping, HardwareConfig>> pts;
-    std::vector<Layer> layers = resnet50().layers;
-    Rng rng(seed);
-    for (int i = 0; i < n; ++i) {
-        const Layer &l = layers[size_t(rng.uniformInt(0,
-                static_cast<int64_t>(layers.size()) - 1))];
-        HardwareConfig hw = randomHardware(rng);
-        Mapping m = randomValidMapping(l, hw, rng, 8);
-        pts.emplace_back(l, m, hw);
-    }
-    return pts;
-}
-
-TEST(EvalCache, MatchesDirectReferenceEval)
-{
-    EvalCache cache;
-    for (const auto &[l, m, hw] : samplePoints(50, 11)) {
-        RefEval direct = referenceEval(l, m, hw);
-        LayerEval cached = cache.eval(l, m, hw);
-        EXPECT_EQ(cached.latency, direct.latency);
-        EXPECT_EQ(cached.energy_uj, direct.energy_uj);
-        EXPECT_EQ(cached.edp, direct.edp);
-        EXPECT_EQ(cached.fits, direct.fits);
-        // Second query must hit and return the identical value.
-        LayerEval again = cache.eval(l, m, hw);
-        EXPECT_EQ(again.latency, cached.latency);
-        EXPECT_EQ(again.energy_uj, cached.energy_uj);
-    }
-    CacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, 50u);
-    EXPECT_EQ(s.hits, 50u);
-    EXPECT_EQ(s.entries, 50u);
-    EXPECT_DOUBLE_EQ(s.hitRate(), 0.5);
-}
-
-TEST(EvalCache, KeyDiscriminatesMappingOrderAndHardware)
-{
-    EvalCache cache;
-    Layer l = Layer::gemm("g", 64, 64, 64);
-    HardwareConfig hw;
-    Mapping m = minimalMapping(l);
-    (void)cache.eval(l, m, hw);
-
-    Mapping m2 = m;
-    m2.order = uniformOrder(LoopOrder::OS);
-    (void)cache.eval(l, m2, hw);
-
-    HardwareConfig hw2 = hw;
-    hw2.spad_kib *= 2;
-    (void)cache.eval(l, m, hw2);
-
-    Layer l2 = l;
-    l2.c *= 2;
-    Mapping m3 = minimalMapping(l2);
-    (void)cache.eval(l2, m3, hw);
-
-    CacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.misses, 4u);
-    EXPECT_EQ(s.entries, 4u);
-}
-
-TEST(EvalCache, CountIsNotPartOfTheKey)
-{
-    // Repeat counts scale network sums outside referenceEval, so two
-    // layers differing only in count must share one entry.
-    EvalCache cache;
-    Layer l = Layer::gemm("g", 32, 32, 32);
-    Mapping m = minimalMapping(l);
-    HardwareConfig hw;
-    (void)cache.eval(l, m, hw);
-    l.count = 7;
-    l.name = "renamed";
-    (void)cache.eval(l, m, hw);
-    CacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 1u);
-}
-
-TEST(EvalCache, DisabledCacheBypassesAndCountsNothing)
-{
-    EvalCache cache;
-    cache.setEnabled(false);
-    Layer l = Layer::gemm("g", 16, 16, 16);
-    Mapping m = minimalMapping(l);
-    HardwareConfig hw;
-    RefEval direct = referenceEval(l, m, hw);
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(cache.eval(l, m, hw).edp, direct.edp);
-    CacheStats s = cache.stats();
-    EXPECT_EQ(s.hits + s.misses, 0u);
-    EXPECT_EQ(s.entries, 0u);
-    EXPECT_DOUBLE_EQ(s.hitRate(), 0.0);
-}
-
-TEST(EvalCache, ConcurrentHammerStaysConsistent)
-{
-    // Many threads query a small point set through one cache; every
-    // answer must equal the direct evaluation and the counters must
-    // add up to the query count.
-    EvalCache cache;
-    auto pts = samplePoints(20, 23);
-    std::vector<RefEval> direct;
-    for (const auto &[l, m, hw] : pts)
-        direct.push_back(referenceEval(l, m, hw));
-
-    constexpr size_t kQueries = 2000;
-    ThreadPool pool(8);
-    std::atomic<int> mismatches{0};
-    pool.parallelFor(kQueries, [&](size_t i) {
-        size_t p = i % pts.size();
-        const auto &[l, m, hw] = pts[p];
-        LayerEval ev = cache.eval(l, m, hw);
-        if (ev.latency != direct[p].latency ||
-            ev.energy_uj != direct[p].energy_uj ||
-            ev.fits != direct[p].fits)
-            ++mismatches;
-    });
-    EXPECT_EQ(mismatches.load(), 0);
-    CacheStats s = cache.stats();
-    EXPECT_EQ(s.hits + s.misses, kQueries);
-    EXPECT_EQ(s.entries, pts.size());
-    // Racing threads may duplicate a first computation, so misses can
-    // exceed the distinct point count but never undershoot it.
-    EXPECT_GE(s.misses, pts.size());
-}
-
 /** Tiny-but-real DOSA config for determinism runs. */
 DosaConfig
 smallDosaConfig(uint64_t seed, int jobs)
@@ -306,21 +171,6 @@ TEST(ExecDeterminism, DosaSerialEqualsParallel)
     for (size_t i = 0; i < serial.search.best_mappings.size(); ++i)
         EXPECT_EQ(serial.search.best_mappings[i],
                 parallel.search.best_mappings[i]);
-}
-
-TEST(ExecDeterminism, DosaIndependentOfCacheState)
-{
-    std::vector<Layer> layers = {Layer::gemm("a", 64, 64, 64)};
-    globalEvalCache().clear();
-    globalEvalCache().setEnabled(false);
-    DosaResult cold = dosaSearch(layers, smallDosaConfig(9, 1));
-    globalEvalCache().setEnabled(true);
-    DosaResult warm1 = dosaSearch(layers, smallDosaConfig(9, 2));
-    DosaResult warm2 = dosaSearch(layers, smallDosaConfig(9, 2));
-    EXPECT_EQ(cold.search.best_edp, warm1.search.best_edp);
-    EXPECT_EQ(warm1.search.best_edp, warm2.search.best_edp);
-    EXPECT_EQ(cold.search.trace, warm1.search.trace);
-    EXPECT_EQ(warm1.search.trace, warm2.search.trace);
 }
 
 TEST(ExecDeterminism, RandomSearchSerialEqualsParallel)

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "api/search_api.hh"
-#include "exec/eval_cache.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "obs/trajectory.hh"
@@ -174,18 +172,6 @@ TEST(Metrics, DisabledRegistryRecordsNothing)
     EXPECT_EQ(c.value(), 5u);
 }
 
-TEST(Metrics, CollectorContributesAtSnapshotTime)
-{
-    obs::MetricsRegistry reg;
-    std::atomic<uint64_t> source{7};
-    reg.registerCollector([&source](obs::MetricsSnapshot &snap) {
-        snap.counters["pull.source"] = source.load();
-    });
-    EXPECT_EQ(reg.snapshot().counters.at("pull.source"), 7u);
-    source.store(11);
-    EXPECT_EQ(reg.snapshot().counters.at("pull.source"), 11u);
-}
-
 TEST(Metrics, ResetZerosInstrumentsButKeepsNames)
 {
     obs::MetricsRegistry reg;
@@ -198,17 +184,6 @@ TEST(Metrics, ResetZerosInstrumentsButKeepsNames)
     // The handle from before the reset still works.
     reg.counter("r.count").add(2);
     EXPECT_EQ(reg.snapshot().counters.at("r.count"), 2u);
-}
-
-TEST(Metrics, GlobalRegistryCarriesSubsystemInstruments)
-{
-    // The rehomed sources register their collectors lazily on first
-    // use; touch each one before snapshotting.
-    globalEvalCache().stats();
-    obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
-    EXPECT_TRUE(snap.counters.count("eval_cache.hits"));
-    EXPECT_TRUE(snap.counters.count("eval_cache.misses"));
-    EXPECT_TRUE(snap.gauges.count("eval_cache.entries"));
 }
 
 // ---------------------------------------------------------------
@@ -574,7 +549,7 @@ TEST(ObsService, RequestLifecycleSpansAndEnrichedStatsFrame)
     EXPECT_EQ(stats.stats_window, 1024u); // ServiceConfig default
     EXPECT_GE(stats.metrics.counters.at("service.search.admitted"),
             1u);
-    EXPECT_TRUE(stats.metrics.counters.count("eval_cache.hits"));
+    EXPECT_GE(stats.metrics.counters.at("api.searches"), 1u);
     EXPECT_GE(stats.metrics.histograms.at("service.search.run_s")
                       .count,
             1u);

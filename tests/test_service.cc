@@ -287,7 +287,6 @@ randomSpec(Rng &rng)
     spec.seed = (uint64_t(rng.uniformInt(0, 0xffffffff)) << 32) |
             uint64_t(rng.uniformInt(0, 0xffffffff));
     spec.jobs = int(rng.uniformInt(0, 8));
-    spec.cache = static_cast<CacheMode>(rng.uniformInt(0, 2));
     spec.budget.max_samples = int(rng.uniformInt(0, 1000000));
     spec.budget.deadline_s = rng.bernoulli(0.5)
             ? 0.0
@@ -359,9 +358,11 @@ TEST(SpecJson, RejectsUnknownKeysTypeMismatchesAndBadEnums)
     EXPECT_FALSE(specFromJson("{\"algorithm\":7}", decoded, error));
     EXPECT_NE(error.find("algorithm"), std::string::npos);
 
-    EXPECT_FALSE(specFromJson("{\"cache\":\"sometimes\"}", decoded,
+    // `cache` is no longer a spec key, so even its old default value
+    // is an unknown key.
+    EXPECT_FALSE(specFromJson("{\"cache\":\"inherit\"}", decoded,
             error));
-    EXPECT_NE(error.find("cache"), std::string::npos);
+    EXPECT_NE(error.find("unknown key \"cache\""), std::string::npos);
 
     EXPECT_FALSE(specFromJson(
             "{\"workload\":[{\"name\":\"x\",\"r\":\"no\"}]}", decoded,
@@ -374,6 +375,35 @@ TEST(SpecJson, RejectsUnknownKeysTypeMismatchesAndBadEnums)
 
     EXPECT_FALSE(specFromJson("not json at all", decoded, error));
     EXPECT_FALSE(error.empty());
+
+    // jobs and max_samples are int fields: a wider value fails with
+    // its path instead of wrapping (2^32 + 1 used to decode as 1).
+    for (const char *text : {
+                 "{\"budget\":{\"max_samples\":4294967297}}",
+                 "{\"jobs\":4294967300}", "{\"jobs\":2147483648}"}) {
+        EXPECT_FALSE(specFromJson(text, decoded, error)) << text;
+        EXPECT_NE(error.find("is outside the range of int"),
+                std::string::npos)
+                << error;
+    }
+    EXPECT_NE(error.find("spec: jobs: 2147483648"), std::string::npos)
+            << error;
+    ASSERT_TRUE(specFromJson("{\"jobs\":2147483647}", decoded, error))
+            << error;
+    EXPECT_EQ(decoded.jobs, std::numeric_limits<int>::max());
+
+    // Option values are doubles on the wire and decode; validateSpec,
+    // which every runSearch and service admission runs, rejects one
+    // no adapter could narrow to int.
+    for (const char *value : {"1e300", "4294967297"}) {
+        const std::string text = std::string(
+                "{\"algorithm\":\"mapper\",\"workload_name\":"
+                "\"alexnet\",\"options\":{\"samples\":") + value + "}}";
+        ASSERT_TRUE(specFromJson(text, decoded, error)) << error;
+        EXPECT_FALSE(validateSpec(decoded, error)) << value;
+        EXPECT_NE(error.find("option \"samples\""), std::string::npos)
+                << error;
+    }
 }
 
 TEST(SpecJson, MutatedCanonicalBytesNeverCrashTheDecoder)
@@ -672,13 +702,13 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     f = terminalFrame(collectStream(client));
     EXPECT_EQ(f.code, service::errc::bad_spec);
 
-    // Non-inherit cache mode -> bad_spec (global-flag race).
-    SearchSpec bad_cache = goldenMapperSpec();
-    bad_cache.cache = CacheMode::Enabled;
-    client.send(service::encodeSearchRequest("b3", bad_cache));
+    // An option value no adapter could narrow to int -> bad_spec.
+    SearchSpec bad_range = goldenMapperSpec();
+    bad_range.options.set("samples", 1e300);
+    client.send(service::encodeSearchRequest("b3", bad_range));
     f = terminalFrame(collectStream(client));
     EXPECT_EQ(f.code, service::errc::bad_spec);
-    EXPECT_NE(f.message.find("inherit"), std::string::npos);
+    EXPECT_NE(f.message.find("samples"), std::string::npos);
 
     std::vector<service::EndpointStats> stats = svc.stats();
     ASSERT_EQ(stats.size(), 4u);
