@@ -82,8 +82,9 @@ BENCHMARK(BM_ObjectiveGradient)->Arg(1)->Arg(8)->Arg(24);
 /**
  * Steady-state descent step: arena-engine gradient (tape replay +
  * reverse sweep into a reused buffer) plus the Adam update. This is
- * the loop dosaSearch runs thousands of times per start point; the
- * first iteration builds the graph, every later one replays it.
+ * the loop the "dosa" searcher runs thousands of times per start
+ * point; the first iteration builds the graph, every later one
+ * replays it.
  */
 void
 BM_GradientStepReplay(benchmark::State &state)

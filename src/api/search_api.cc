@@ -7,13 +7,13 @@
 #include "api/search_api.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <mutex>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
+#include "util/table.hh"
 #include "util/thread_annotations.hh"
 #include "workload/workload_registry.hh"
 
@@ -86,43 +86,35 @@ ensureBuiltins()
     std::call_once(once, [] { detail::registerBuiltinSearchers(); });
 }
 
-/** Option keys the chosen searcher does not consume, as an error. */
+/**
+ * Option keys the chosen searcher does not consume, or values outside
+ * the range its option declares (NaN included), as an error.
+ */
 bool
 checkOptions(const SearchSpec &spec, const Searcher &searcher,
              std::string &error)
 {
-    const std::vector<std::string_view> known = searcher.optionKeys();
+    const std::vector<SearcherOption> known = searcher.options();
     for (const std::string &key : spec.options.keys()) {
-        if (std::find(known.begin(), known.end(), key) != known.end())
-            continue;
-        std::string valid;
-        for (std::string_view k : known) {
-            if (!valid.empty())
-                valid += ", ";
-            valid += k;
+        auto row = std::find_if(known.begin(), known.end(),
+                [&](const SearcherOption &o) { return o.key == key; });
+        if (row == known.end()) {
+            std::string valid;
+            for (const SearcherOption &o : known) {
+                if (!valid.empty())
+                    valid += ", ";
+                valid += o.key;
+            }
+            error = "unknown option \"" + key +
+                    "\" for search algorithm \"" + searcher.name() +
+                    "\" (valid: " + valid + ")";
+            return false;
         }
-        error = "unknown option \"" + key +
-                "\" for search algorithm \"" + searcher.name() +
-                "\" (valid: " + valid + ")";
-        return false;
-    }
-    return true;
-}
-
-/**
- * Option values the adapters could not narrow to `int` (not finite,
- * or magnitude past INT_MAX), as an error.
- */
-bool
-checkOptionRanges(const OptionBag &options, std::string &error)
-{
-    constexpr int kMax = std::numeric_limits<int>::max();
-    for (const std::string &key : options.keys()) {
-        if (std::fabs(options.get(key, 0.0)) <= kMax)
+        const double value = spec.options.get(key, 0.0);
+        if (value >= row->min && value <= row->max)
             continue;
-        error = "option \"" + key +
-                "\" must be finite with magnitude at most " +
-                std::to_string(kMax);
+        error = "option \"" + key + "\" must be in [" +
+                fmt(row->min, 0) + ", " + fmt(row->max, 0) + "]";
         return false;
     }
     return true;
@@ -200,8 +192,7 @@ validateSpec(const SearchSpec &spec, std::string &error)
                 "\" (available: " + Search::algorithmList() + ")";
         return false;
     }
-    if (!checkOptions(spec, *searcher, error) ||
-        !checkOptionRanges(spec.options, error))
+    if (!checkOptions(spec, *searcher, error))
         return false;
     if (!spec.workload_name.empty()) {
         if (!spec.workload.empty()) {

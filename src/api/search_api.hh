@@ -18,11 +18,6 @@
  * in code or loaded from a workload file) or by name
  * (`spec.workload_name`, resolved against the `Workloads` registry
  * before dispatch — see workload/workload_registry.hh).
- *
- * The legacy free functions (`dosaSearch`, `randomSearch`,
- * `randomMapperSearch`, `bayesOptSearch`) are thin compat shims over
- * this facade and produce bitwise-identical results (the
- * `tests/golden/` fixtures pin that equivalence).
  */
 
 #ifndef DOSA_API_SEARCH_API_HH
@@ -57,9 +52,8 @@ SearchReport runSearch(const SearchSpec &spec,
  * the registry), option keys the chosen searcher does not consume,
  * an empty workload or ill-formed layers, an unknown or ambiguous
  * `workload_name` (the message lists the workload registry),
- * negative budget limits, and option values that are not finite or
- * whose magnitude exceeds INT_MAX (every option is a count, flag, enum
- * or small real, and the adapters narrow counts to `int`).
+ * negative budget limits, and option values outside the range the
+ * searcher's `options()` declares for them (NaN included).
  * Returns false and sets `error` instead of exiting — the check a
  * long-running caller (the search service) runs on untrusted specs
  * before dispatching, so a bad request cannot take the process down.

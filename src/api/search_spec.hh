@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/hardware_config.hh"
@@ -32,8 +33,8 @@ namespace dosa {
  * (one descent step, one sampled design).
  *
  * `max_samples` plays two roles. It seeds per-algorithm defaults —
- * an adapter whose natural-length option (e.g. "total_samples",
- * "steps_per_start", "mappings_per_hw") is absent derives it from
+ * an adapter whose natural-length option (e.g. `total_samples`,
+ * `steps_per_start`, `mappings_per_hw`) is absent derives it from
  * the cap, which is how "same sample budget" comparisons are
  * expressed and how the cap bounds *work* for every algorithm. It
  * is also a hard cap on recorded samples: the trace never exceeds
@@ -57,15 +58,16 @@ struct SearchBudget
 
 /**
  * Loosely-typed per-algorithm numeric options. Keys are flat names
- * ("start_points", "mappings_per_hw", ...); each registered searcher
- * documents and validates its own set via `Searcher::optionKeys` —
- * an unknown key is a fatal configuration error, so typos cannot
- * silently fall back to defaults. All values are doubles; integer
- * and boolean options are stored exactly (counts are far below
- * 2^53), and enum-valued options (e.g. the DOSA "strategy") store
- * the enumerator value. `validateSpec` rejects a value that is not
- * finite or whose magnitude exceeds INT_MAX, so `getInt` on a
- * validated bag never leaves the range of `int`.
+ * (`start_points`, `mappings_per_hw`, ...); each registered searcher
+ * declares its set, with a closed range per key, in
+ * `Searcher::options()`. `validateSpec` rejects an unknown key, so
+ * typos cannot silently fall back to defaults, and a value outside
+ * its key's range (NaN included), so a validated bag never holds a
+ * count, flag or enum value that would crash the run or leave the
+ * range of `int`. All values are doubles; integer and boolean
+ * options are stored exactly (counts are far below 2^53), and
+ * enum-valued options (e.g. the DOSA `strategy`) store the
+ * enumerator value.
  */
 class OptionBag
 {
@@ -79,14 +81,14 @@ class OptionBag
     }
 
     /** True when `key` was explicitly set. */
-    bool has(const std::string &key) const
+    bool has(std::string_view key) const
     {
-        return values_.count(key) != 0;
+        return values_.find(key) != values_.end();
     }
 
     /** Value of `key`, or `fallback` when absent. */
     double
-    get(const std::string &key, double fallback) const
+    get(std::string_view key, double fallback) const
     {
         auto it = values_.find(key);
         return it == values_.end() ? fallback : it->second;
@@ -94,7 +96,7 @@ class OptionBag
 
     /** Integer value of `key`, or `fallback` when absent. */
     int64_t
-    getInt(const std::string &key, int64_t fallback) const
+    getInt(std::string_view key, int64_t fallback) const
     {
         auto it = values_.find(key);
         return it == values_.end()
@@ -116,7 +118,7 @@ class OptionBag
     }
 
   private:
-    std::map<std::string, double> values_;
+    std::map<std::string, double, std::less<>> values_;
 };
 
 /**
@@ -171,7 +173,7 @@ struct SearchSpec
      */
     HardwareConfig fixed_hw;
 
-    /** Per-algorithm options (see each searcher's `optionKeys`). */
+    /** Per-algorithm options (see each searcher's `options()`). */
     OptionBag options;
 };
 

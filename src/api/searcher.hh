@@ -43,6 +43,18 @@ struct SearchReport
 };
 
 /**
+ * One numeric option a searcher consumes: its key in the spec's
+ * `OptionBag` and the closed range `validateSpec` accepts for its
+ * value.
+ */
+struct SearcherOption
+{
+    std::string_view key;
+    double min;
+    double max;
+};
+
+/**
  * One registered search algorithm. Implementations translate a
  * `SearchSpec` into their native configuration (deriving
  * natural-length options from `spec.budget.max_samples` when absent)
@@ -61,10 +73,11 @@ class Searcher
     virtual const char *description() const = 0;
 
     /**
-     * Option keys this searcher consumes. `runSearch` rejects a spec
-     * whose bag holds any other key, so typos fail loudly.
+     * Options this searcher consumes. `validateSpec` rejects a spec
+     * whose bag holds any other key, so typos fail loudly, or a value
+     * outside its option's range, so no value can crash the run.
      */
-    virtual std::vector<std::string_view> optionKeys() const = 0;
+    virtual std::vector<SearcherOption> options() const = 0;
 
     /**
      * Samples the spec implies (its options after budget derivation):

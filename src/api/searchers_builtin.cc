@@ -1,20 +1,22 @@
 /**
  * @file
  * The four in-tree searcher adapters ("dosa", "random", "mapper",
- * "bayesopt") and the legacy free-function compat shims.
+ * "bayesopt").
  *
- * Each adapter translates a `SearchSpec` into the searcher's native
- * config — reading its option bag, deriving natural-length options
- * from `budget.max_samples` when absent — and calls the canonical
- * `detail::` implementation with the driver's `SearchControl`
- * installed. The shims go the other way: they pack a legacy config
- * into a spec and dispatch through `runSearch`, so the facade and
- * the free functions are the same code path (every numeric config
- * field round-trips exactly through the option bag; seed, scorer
- * and mode travel on dedicated spec fields), and the golden-trace
- * fixtures pin the equivalence bitwise.
+ * Each adapter owns one option table: a row per option key, holding
+ * the closed range `validateSpec` accepts and the native config field
+ * the value lands in. `Searcher::options()`, the spec -> config read
+ * and the range check all derive from that table, so each key is
+ * spelled once. The adapter then derives its natural-length option
+ * from `budget.max_samples` when the spec leaves it unset and calls
+ * the canonical `detail::` implementation with the driver's
+ * `SearchControl` installed.
  */
 #include <algorithm>
+#include <limits>
+#include <span>
+#include <type_traits>
+#include <variant>
 
 #include "api/search_api.hh"
 #include "core/dosa_optimizer.hh"
@@ -25,10 +27,105 @@ namespace dosa {
 
 namespace {
 
-/** Adapter for the DOSA one-loop gradient-descent co-search. */
-class DosaSearcher : public Searcher
+/**
+ * Upper bound of every count and the magnitude bound of every real:
+ * the adapters narrow counts to `int`. Tighter service-side limits
+ * belong to an admission policy, not to the searchers.
+ */
+constexpr double kIntMax = std::numeric_limits<int>::max();
+
+/**
+ * One option-table row: the key and its accepted range, plus the
+ * `Config` field the value is written to. Integer, flag and enum
+ * fields take the value truncated toward zero.
+ */
+template <class Config>
+struct OptionRow
+{
+    SearcherOption option;
+    std::variant<int Config::*, double Config::*, bool Config::*,
+            OrderStrategy Config::*>
+            field;
+};
+
+/** A searcher whose options are one table over its native config. */
+template <class Config>
+class TableSearcher : public Searcher
 {
   public:
+    std::vector<SearcherOption>
+    options() const override
+    {
+        std::vector<SearcherOption> out;
+        for (const OptionRow<Config> &row : table_)
+            out.push_back(row.option);
+        return out;
+    }
+
+  protected:
+    explicit TableSearcher(std::span<const OptionRow<Config>> table)
+        : table_(table)
+    {
+    }
+
+    /** The config defaults with every option the bag sets applied. */
+    Config
+    readOptions(const OptionBag &bag) const
+    {
+        Config cfg;
+        for (const OptionRow<Config> &row : table_) {
+            if (!bag.has(row.option.key))
+                continue;
+            const double value = bag.get(row.option.key, 0.0);
+            std::visit([&](auto field) {
+                using T = std::remove_reference_t<decltype(cfg.*field)>;
+                if constexpr (std::is_same_v<T, double>)
+                    cfg.*field = value;
+                else
+                    cfg.*field = static_cast<T>(static_cast<int>(value));
+            }, row.field);
+        }
+        return cfg;
+    }
+
+    /** Whether the bag sets the option stored in `field`. */
+    template <class T>
+    bool
+    sets(const OptionBag &bag, T Config::*field) const
+    {
+        for (const OptionRow<Config> &row : table_) {
+            const auto *f = std::get_if<T Config::*>(&row.field);
+            if (f != nullptr && *f == field)
+                return bag.has(row.option.key);
+        }
+        return false;
+    }
+
+  private:
+    std::span<const OptionRow<Config>> table_;
+};
+
+// Counts that size a loop, an allocation or a modulus start at 1;
+// flags are 0/1 and enums span their enumerators.
+constexpr OptionRow<DosaConfig> kDosaOptions[] = {
+    {{"start_points", 1, kIntMax}, &DosaConfig::start_points},
+    {{"steps_per_start", 0, kIntMax}, &DosaConfig::steps_per_start},
+    {{"round_every", 1, kIntMax}, &DosaConfig::round_every},
+    {{"lr", -kIntMax, kIntMax}, &DosaConfig::lr},
+    {{"lr_decay", -kIntMax, kIntMax}, &DosaConfig::lr_decay},
+    {{"strategy", 0, 2}, &DosaConfig::strategy},
+    {{"reject_factor", -kIntMax, kIntMax}, &DosaConfig::reject_factor},
+    {{"max_start_tries", 1, kIntMax}, &DosaConfig::max_start_tries},
+    {{"project_feasible", 0, 1}, &DosaConfig::project_feasible},
+    {{"restart_from_best", 0, 1}, &DosaConfig::restart_from_best},
+};
+
+/** Adapter for the DOSA one-loop gradient-descent co-search. */
+class DosaSearcher : public TableSearcher<DosaConfig>
+{
+  public:
+    DosaSearcher() : TableSearcher(kDosaOptions) {}
+
     const char *name() const override { return "dosa"; }
 
     const char *
@@ -38,56 +135,22 @@ class DosaSearcher : public Searcher
                "periodic rounding)";
     }
 
-    std::vector<std::string_view>
-    optionKeys() const override
-    {
-        return {"start_points", "steps_per_start", "round_every",
-                "lr", "lr_decay", "line_search_probes", "strategy",
-                "reject_factor", "max_start_tries",
-                "project_feasible", "restart_from_best"};
-    }
-
     /** Spec -> native config (budget-derived steps when absent). */
-    static DosaConfig
-    configFromSpec(const SearchSpec &spec)
+    DosaConfig
+    configFromSpec(const SearchSpec &spec) const
     {
-        const OptionBag &opt = spec.options;
-        DosaConfig cfg;
+        DosaConfig cfg = readOptions(spec.options);
         cfg.mode = spec.mode;
         cfg.seed = spec.seed;
         cfg.jobs = spec.jobs;
-        cfg.score_latency = spec.scorer;
-        cfg.start_points = static_cast<int>(
-                opt.getInt("start_points", cfg.start_points));
-        if (opt.has("steps_per_start"))
-            cfg.steps_per_start = static_cast<int>(
-                    opt.getInt("steps_per_start",
-                            cfg.steps_per_start));
-        else if (spec.budget.max_samples > 0)
+        cfg.scorer = spec.scorer;
+        if (spec.budget.max_samples > 0 &&
+            !sets(spec.options, &DosaConfig::steps_per_start))
             // One sample per step plus one per start point: spend
             // the unified budget across the starts.
             cfg.steps_per_start = std::max(1,
                     spec.budget.max_samples /
                             std::max(1, cfg.start_points) - 1);
-        cfg.round_every = static_cast<int>(
-                opt.getInt("round_every", cfg.round_every));
-        cfg.lr = opt.get("lr", cfg.lr);
-        cfg.lr_decay = opt.get("lr_decay", cfg.lr_decay);
-        cfg.line_search_probes = static_cast<int>(
-                opt.getInt("line_search_probes",
-                        cfg.line_search_probes));
-        cfg.strategy = static_cast<OrderStrategy>(opt.getInt(
-                "strategy", static_cast<int64_t>(cfg.strategy)));
-        cfg.reject_factor =
-                opt.get("reject_factor", cfg.reject_factor);
-        cfg.max_start_tries = static_cast<int>(
-                opt.getInt("max_start_tries", cfg.max_start_tries));
-        cfg.project_feasible =
-                opt.getInt("project_feasible",
-                        cfg.project_feasible ? 1 : 0) != 0;
-        cfg.restart_from_best =
-                opt.getInt("restart_from_best",
-                        cfg.restart_from_best ? 1 : 0) != 0;
         return cfg;
     }
 
@@ -113,10 +176,18 @@ class DosaSearcher : public Searcher
     }
 };
 
+constexpr OptionRow<RandomSearchConfig> kRandomOptions[] = {
+    {{"hw_designs", 1, kIntMax}, &RandomSearchConfig::hw_designs},
+    {{"mappings_per_hw", 1, kIntMax},
+            &RandomSearchConfig::mappings_per_hw},
+};
+
 /** Adapter for the random hardware+mapping co-search baseline. */
-class RandomSearcher : public Searcher
+class RandomSearcher : public TableSearcher<RandomSearchConfig>
 {
   public:
+    RandomSearcher() : TableSearcher(kRandomOptions) {}
+
     const char *name() const override { return "random"; }
 
     const char *
@@ -125,28 +196,16 @@ class RandomSearcher : public Searcher
         return "random hardware + mapping co-search baseline";
     }
 
-    std::vector<std::string_view>
-    optionKeys() const override
+    RandomSearchConfig
+    configFromSpec(const SearchSpec &spec) const
     {
-        return {"hw_designs", "mappings_per_hw"};
-    }
-
-    static RandomSearchConfig
-    configFromSpec(const SearchSpec &spec)
-    {
-        const OptionBag &opt = spec.options;
-        RandomSearchConfig cfg;
+        RandomSearchConfig cfg = readOptions(spec.options);
         cfg.seed = spec.seed;
         cfg.jobs = spec.jobs;
         cfg.scorer = spec.scorer;
         cfg.pareto = spec.mode.pareto;
-        cfg.hw_designs = static_cast<int>(
-                opt.getInt("hw_designs", cfg.hw_designs));
-        if (opt.has("mappings_per_hw"))
-            cfg.mappings_per_hw = static_cast<int>(
-                    opt.getInt("mappings_per_hw",
-                            cfg.mappings_per_hw));
-        else if (spec.budget.max_samples > 0)
+        if (spec.budget.max_samples > 0 &&
+            !sets(spec.options, &RandomSearchConfig::mappings_per_hw))
             cfg.mappings_per_hw = std::max(1,
                     spec.budget.max_samples /
                             std::max(1, cfg.hw_designs));
@@ -172,10 +231,16 @@ class RandomSearcher : public Searcher
     }
 };
 
+constexpr OptionRow<MapperConfig> kMapperOptions[] = {
+    {{"samples", 1, kIntMax}, &MapperConfig::samples},
+};
+
 /** Adapter for the fixed-hardware random mapper (Figs. 8 and 9). */
-class MapperSearcher : public Searcher
+class MapperSearcher : public TableSearcher<MapperConfig>
 {
   public:
+    MapperSearcher() : TableSearcher(kMapperOptions) {}
+
     const char *name() const override { return "mapper"; }
 
     const char *
@@ -185,45 +250,55 @@ class MapperSearcher : public Searcher
                "random-mapper stand-in) over spec.fixed_hw";
     }
 
-    std::vector<std::string_view>
-    optionKeys() const override
+    MapperConfig
+    configFromSpec(const SearchSpec &spec) const
     {
-        return {"samples"};
-    }
-
-    /** Sample count: explicit option, else the unified budget. */
-    static int
-    samplesFromSpec(const SearchSpec &spec)
-    {
-        if (spec.options.has("samples"))
-            return static_cast<int>(
-                    spec.options.getInt("samples", 1000));
-        if (spec.budget.max_samples > 0)
-            return spec.budget.max_samples;
-        return 1000;
+        MapperConfig cfg = readOptions(spec.options);
+        cfg.seed = spec.seed;
+        cfg.jobs = spec.jobs;
+        cfg.scorer = spec.scorer;
+        cfg.pareto = spec.mode.pareto;
+        if (spec.budget.max_samples > 0 &&
+            !sets(spec.options, &MapperConfig::samples))
+            cfg.samples = spec.budget.max_samples;
+        return cfg;
     }
 
     size_t
     plannedSamples(const SearchSpec &spec) const override
     {
-        return static_cast<size_t>(samplesFromSpec(spec));
+        return static_cast<size_t>(configFromSpec(spec).samples);
     }
 
     SearchReport
     run(const SearchSpec &spec, SearchControl *control) const override
     {
+        MapperConfig cfg = configFromSpec(spec);
+        cfg.control = control;
         SearchReport report;
         report.search = detail::randomMapperSearchImpl(spec.workload,
-                spec.fixed_hw, samplesFromSpec(spec), spec.seed,
-                spec.jobs, spec.scorer, control, spec.mode.pareto);
+                spec.fixed_hw, cfg);
         return report;
     }
 };
 
+constexpr OptionRow<BayesOptConfig> kBayesOptOptions[] = {
+    {{"warmup_samples", 0, kIntMax}, &BayesOptConfig::warmup_samples},
+    {{"total_samples", 1, kIntMax}, &BayesOptConfig::total_samples},
+    {{"hw_candidates", 1, kIntMax}, &BayesOptConfig::hw_candidates},
+    {{"map_candidates", 1, kIntMax}, &BayesOptConfig::map_candidates},
+    {{"refit_every", 1, kIntMax}, &BayesOptConfig::refit_every},
+    {{"max_train_points", 1, kIntMax},
+            &BayesOptConfig::max_train_points},
+    {{"lcb_kappa", -kIntMax, kIntMax}, &BayesOptConfig::lcb_kappa},
+};
+
 /** Adapter for the two-loop Bayesian-optimization baseline. */
-class BayesOptSearcher : public Searcher
+class BayesOptSearcher : public TableSearcher<BayesOptConfig>
 {
   public:
+    BayesOptSearcher() : TableSearcher(kBayesOptOptions) {}
+
     const char *name() const override { return "bayesopt"; }
 
     const char *
@@ -233,40 +308,17 @@ class BayesOptSearcher : public Searcher
                "posterior LCB";
     }
 
-    std::vector<std::string_view>
-    optionKeys() const override
+    BayesOptConfig
+    configFromSpec(const SearchSpec &spec) const
     {
-        return {"warmup_samples", "total_samples", "hw_candidates",
-                "map_candidates", "refit_every", "max_train_points",
-                "lcb_kappa"};
-    }
-
-    static BayesOptConfig
-    configFromSpec(const SearchSpec &spec)
-    {
-        const OptionBag &opt = spec.options;
-        BayesOptConfig cfg;
+        BayesOptConfig cfg = readOptions(spec.options);
         cfg.seed = spec.seed;
         cfg.jobs = spec.jobs;
         cfg.scorer = spec.scorer;
         cfg.pareto = spec.mode.pareto;
-        cfg.warmup_samples = static_cast<int>(
-                opt.getInt("warmup_samples", cfg.warmup_samples));
-        if (opt.has("total_samples"))
-            cfg.total_samples = static_cast<int>(
-                    opt.getInt("total_samples", cfg.total_samples));
-        else if (spec.budget.max_samples > 0)
+        if (spec.budget.max_samples > 0 &&
+            !sets(spec.options, &BayesOptConfig::total_samples))
             cfg.total_samples = spec.budget.max_samples;
-        cfg.hw_candidates = static_cast<int>(
-                opt.getInt("hw_candidates", cfg.hw_candidates));
-        cfg.map_candidates = static_cast<int>(
-                opt.getInt("map_candidates", cfg.map_candidates));
-        cfg.refit_every = static_cast<int>(
-                opt.getInt("refit_every", cfg.refit_every));
-        cfg.max_train_points = static_cast<int>(
-                opt.getInt("max_train_points",
-                        cfg.max_train_points));
-        cfg.lcb_kappa = opt.get("lcb_kappa", cfg.lcb_kappa);
         return cfg;
     }
 
@@ -289,20 +341,6 @@ class BayesOptSearcher : public Searcher
     }
 };
 
-/** Shared spec scaffolding of the four compat shims. */
-SearchSpec
-baseSpec(const char *algorithm, const std::vector<Layer> &layers,
-         uint64_t seed, int jobs, const LatencyScorer &scorer)
-{
-    SearchSpec spec;
-    spec.algorithm = algorithm;
-    spec.workload = layers;
-    spec.seed = seed;
-    spec.jobs = jobs;
-    spec.scorer = scorer;
-    return spec;
-}
-
 } // namespace
 
 namespace detail {
@@ -323,86 +361,5 @@ registerBuiltinSearchers()
 }
 
 } // namespace detail
-
-// ---------------------------------------------------------------------------
-// Legacy compat shims: pack the native config into a SearchSpec and
-// dispatch through the facade. A caller that installed its own
-// SearchControl goes straight to the implementation (the facade
-// would otherwise replace the control with its own).
-// ---------------------------------------------------------------------------
-
-DosaResult
-dosaSearch(const std::vector<Layer> &layers, const DosaConfig &cfg)
-{
-    if (cfg.control != nullptr)
-        return detail::dosaSearchImpl(layers, cfg);
-    SearchSpec spec = baseSpec("dosa", layers, cfg.seed, cfg.jobs,
-            cfg.score_latency);
-    spec.mode = cfg.mode;
-    spec.options.set("start_points", cfg.start_points)
-            .set("steps_per_start", cfg.steps_per_start)
-            .set("round_every", cfg.round_every)
-            .set("lr", cfg.lr)
-            .set("lr_decay", cfg.lr_decay)
-            .set("line_search_probes", cfg.line_search_probes)
-            .set("strategy", static_cast<double>(cfg.strategy))
-            .set("reject_factor", cfg.reject_factor)
-            .set("max_start_tries", cfg.max_start_tries)
-            .set("project_feasible", cfg.project_feasible ? 1 : 0)
-            .set("restart_from_best", cfg.restart_from_best ? 1 : 0);
-    SearchReport report = runSearch(spec);
-    DosaResult out;
-    out.search = std::move(report.search);
-    out.best_start_edp = report.best_start_edp;
-    out.best_start_hw = report.best_start_hw;
-    return out;
-}
-
-SearchResult
-randomSearch(const std::vector<Layer> &layers,
-             const RandomSearchConfig &cfg)
-{
-    if (cfg.control != nullptr)
-        return detail::randomSearchImpl(layers, cfg);
-    SearchSpec spec = baseSpec("random", layers, cfg.seed, cfg.jobs,
-            cfg.scorer);
-    spec.mode.pareto = cfg.pareto;
-    spec.options.set("hw_designs", cfg.hw_designs)
-            .set("mappings_per_hw", cfg.mappings_per_hw);
-    SearchReport report = runSearch(spec);
-    return std::move(report.search);
-}
-
-SearchResult
-randomMapperSearch(const std::vector<Layer> &layers,
-                   const HardwareConfig &hw, int samples, uint64_t seed,
-                   int jobs, const LatencyScorer &scorer)
-{
-    SearchSpec spec = baseSpec("mapper", layers, seed, jobs, scorer);
-    spec.fixed_hw = hw;
-    spec.options.set("samples", samples);
-    SearchReport report = runSearch(spec);
-    return std::move(report.search);
-}
-
-SearchResult
-bayesOptSearch(const std::vector<Layer> &layers,
-               const BayesOptConfig &cfg)
-{
-    if (cfg.control != nullptr)
-        return detail::bayesOptSearchImpl(layers, cfg);
-    SearchSpec spec = baseSpec("bayesopt", layers, cfg.seed, cfg.jobs,
-            cfg.scorer);
-    spec.mode.pareto = cfg.pareto;
-    spec.options.set("warmup_samples", cfg.warmup_samples)
-            .set("total_samples", cfg.total_samples)
-            .set("hw_candidates", cfg.hw_candidates)
-            .set("map_candidates", cfg.map_candidates)
-            .set("refit_every", cfg.refit_every)
-            .set("max_train_points", cfg.max_train_points)
-            .set("lcb_kappa", cfg.lcb_kappa);
-    SearchReport report = runSearch(spec);
-    return std::move(report.search);
-}
 
 } // namespace dosa

@@ -20,30 +20,14 @@ void
 Adam::step(std::vector<double> &params, std::span<const double> grad,
            double lr_scale)
 {
-    if (params.size() != m_.size())
+    if (params.size() != m_.size() || grad.size() != m_.size())
         panic("Adam::step: size mismatch");
-    advance(grad);
-    apply(params, lr_scale);
-}
-
-void
-Adam::advance(std::span<const double> grad)
-{
-    if (grad.size() != m_.size())
-        panic("Adam::advance: size mismatch");
     ++t_;
     for (size_t i = 0; i < m_.size(); ++i) {
         double g = grad[i];
         m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * g;
         v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * g * g;
     }
-}
-
-void
-Adam::apply(std::vector<double> &params, double lr_scale) const
-{
-    if (params.size() != m_.size())
-        panic("Adam::apply: size mismatch");
     double bc1 = 1.0 - std::pow(beta1_, t_);
     double bc2 = 1.0 - std::pow(beta2_, t_);
     double lr = lr_ * lr_scale;

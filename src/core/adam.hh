@@ -25,27 +25,10 @@ class Adam
      * Apply one descent step in place; sizes must match dim. The
      * gradient is read through a span so callers (e.g. the arena
      * ObjectiveEngine) can pass reused buffers without copies.
-     * Equivalent to advance(grad) followed by apply(params, lr_scale).
      * @param lr_scale multiplies the base learning rate (schedules).
      */
     void step(std::vector<double> &params, std::span<const double> grad,
               double lr_scale = 1.0);
-
-    /**
-     * Commit one gradient observation to the moments (t, m, v) without
-     * touching any parameters. Pairs with apply(): the split lets a
-     * line search advance once and preview the same Adam step at
-     * several learning-rate scales.
-     */
-    void advance(std::span<const double> grad);
-
-    /**
-     * Apply the update direction implied by the current moments to
-     * `params` at `lr_scale` times the base rate. Const: callers may
-     * apply one advance() to any number of parameter copies, and
-     * advance+apply is bitwise-identical to step() at the same scale.
-     */
-    void apply(std::vector<double> &params, double lr_scale = 1.0) const;
 
     /** Vector-gradient convenience overload. */
     void

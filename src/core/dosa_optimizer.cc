@@ -375,7 +375,7 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
     {
         HardwareConfig hw0 = scoringHw(layers, mappings, cfg.mode);
         NetworkEval ev0 = scoreDesign(layers, mappings, hw0,
-                cfg.score_latency);
+                cfg.scorer);
         bool valid0 = !overAreaBudget(hw0, cfg.mode);
         if (valid0) {
             out.start_valid = true;
@@ -395,67 +395,26 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
     std::vector<double> start_best_x = x;
     std::vector<OrderVec> start_best_orders = orders;
     Adam adam(x.size(), cfg.lr);
-    const int probes = std::max(1, cfg.line_search_probes);
-    std::vector<std::vector<double>> ls_cands(
-            static_cast<size_t>(probes));
     // Arena-reused objective evaluator: within a rounding segment the
     // context (orders, mode, strategy) is fixed, so every step after
     // the first is a fused tape replay with zero graph construction.
     ObjectiveEngine engine;
-    // In line-search mode the batch sweep already valued and
-    // differentiated the committed candidate, so its eval is carried
-    // into the next step instead of being recomputed; null = the
-    // current x has no usable eval (start of segment, plain step,
-    // post-rounding reset). Points at engine-owned storage, valid
-    // until the next eval/evalBatch call.
-    const ObjectiveEval *carried = nullptr;
     for (int step = 1; step <= cfg.steps_per_start; ++step) {
         // Cooperative cancellation/deadline poll, once per descent
         // step (each step is a full tape replay over the network, so
         // the clock read is noise).
         if (cfg.control != nullptr && cfg.control->stopRequested())
             break;
-        const ObjectiveEval &ev = carried
-                ? *carried
-                : engine.eval(layers, x, orders, cfg.strategy,
-                          cfg.mode);
-        carried = nullptr;
+        const ObjectiveEval &ev = engine.eval(layers, x, orders,
+                cfg.strategy, cfg.mode);
         // Geometric decay within the current rounding segment.
         int seg_pos = (step - 1) % cfg.round_every;
         double frac = static_cast<double>(seg_pos) /
                 static_cast<double>(std::max(1,
                         cfg.round_every - 1));
-        double lr_scale = std::pow(cfg.lr_decay, frac);
-        if (probes == 1) {
-            adam.step(x, ev.grad, lr_scale);
-            if (cfg.project_feasible)
-                projectFeasible(x, layers, cfg.mode.peCap());
-        } else {
-            // Batched line search: commit the gradient to the moments
-            // once, preview the same Adam direction at `probes`
-            // halving step sizes, value every candidate in one
-            // lane-blocked batch sweep and keep the lowest loss
-            // (first wins ties, so probe 0 reproduces the plain step
-            // whenever shrinking does not strictly help).
-            adam.advance(ev.grad);
-            double scale = 1.0;
-            for (int k = 0; k < probes; ++k, scale *= 0.5) {
-                ls_cands[size_t(k)] = x;
-                adam.apply(ls_cands[size_t(k)], lr_scale * scale);
-                if (cfg.project_feasible)
-                    projectFeasible(ls_cands[size_t(k)], layers,
-                            cfg.mode.peCap());
-            }
-            const std::vector<ObjectiveEval> &cand_evs =
-                    engine.evalBatch(layers, ls_cands, orders,
-                            cfg.strategy, cfg.mode);
-            size_t best_k = 0;
-            for (size_t k = 1; k < cand_evs.size(); ++k)
-                if (cand_evs[k].loss < cand_evs[best_k].loss)
-                    best_k = k;
-            x = ls_cands[best_k];
-            carried = &cand_evs[best_k];
-        }
+        adam.step(x, ev.grad, std::pow(cfg.lr_decay, frac));
+        if (cfg.project_feasible)
+            projectFeasible(x, layers, cfg.mode.peCap());
 
         bool round_now = (step % cfg.round_every == 0) ||
                          step == cfg.steps_per_start;
@@ -466,12 +425,12 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
         }
 
         RoundedDesign design = roundAndScore(layers, x, orders,
-                cfg.mode, cfg.score_latency);
+                cfg.mode, cfg.scorer);
         if (cfg.strategy != OrderStrategy::Fixed) {
             orders = selectOrders(layers, design.mappings,
-                    design.hw, cfg.score_latency);
+                    design.hw, cfg.scorer);
             NetworkEval ev2 = scoreDesign(layers, design.mappings,
-                    design.hw, cfg.score_latency);
+                    design.hw, cfg.scorer);
             design.edp = ev2.edp;
             design.energy_uj = ev2.energy_uj;
             design.latency = ev2.latency;
@@ -504,7 +463,6 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
             orders = start_best_orders;
         }
         adam.reset();
-        carried = nullptr; // x was reset; its eval is stale
     }
     return out;
 }

@@ -42,17 +42,6 @@ struct DosaConfig
      */
     double lr = 0.02;
     double lr_decay = 0.3;
-    /**
-     * Batched line-search probes per descent step (1 = plain Adam
-     * step, the default). With k > 1, Adam's moments fix the step
-     * direction once, k candidate step sizes (the scheduled rate
-     * scaled by 1, 1/2, ..., 1/2^(k-1)) are valued in a single
-     * ObjectiveEngine::evalBatch lane sweep, and the lowest-loss
-     * candidate is committed. Changes the descent trajectory, so it
-     * is off by default to keep baseline traces stable; results stay
-     * bit-identical for any `jobs` value either way.
-     */
-    int line_search_probes = 1;
     OrderStrategy strategy = OrderStrategy::Iterate;
     ObjectiveMode mode;
     uint64_t seed = 1;
@@ -66,7 +55,7 @@ struct DosaConfig
     double reject_factor = 10.0;
     int max_start_tries = 5;
     /** Optional predicted-latency scorer for concrete designs. */
-    LatencyScorer score_latency;
+    LatencyScorer scorer;
 
     // ---- Ablation toggles (see bench_ablation): both default on.
     /** Project iterates onto the feasible divisor region each step. */
@@ -92,22 +81,11 @@ struct DosaResult
     HardwareConfig best_start_hw;
 };
 
-/**
- * Run the one-loop gradient-descent co-search.
- *
- * Compat shim over the `src/api` facade: builds a `SearchSpec` for
- * the registered "dosa" searcher and dispatches through `runSearch`,
- * so this call and the facade are bitwise-identical by construction
- * (the golden-trace fixtures pin it).
- */
-DosaResult dosaSearch(const std::vector<Layer> &layers,
-                      const DosaConfig &cfg);
-
 namespace detail {
 
 /**
- * Canonical DOSA implementation behind the facade; honors
- * `cfg.control`. Call `dosaSearch` or `runSearch` instead.
+ * Canonical DOSA implementation behind the registered "dosa"
+ * searcher; honors `cfg.control`. Call `runSearch` instead.
  */
 DosaResult dosaSearchImpl(const std::vector<Layer> &layers,
                           const DosaConfig &cfg);

@@ -59,20 +59,12 @@ struct BayesOptConfig
     ParetoObjectives pareto;
 };
 
-/**
- * Run BO co-search over the unique layers of a network.
- *
- * Compat shim over the `src/api` facade: dispatches through the
- * registered "bayesopt" searcher, bitwise-identical by construction.
- */
-SearchResult bayesOptSearch(const std::vector<Layer> &layers,
-                            const BayesOptConfig &cfg);
-
 namespace detail {
 
 /**
- * Canonical BO implementation behind the facade; honors
- * `cfg.control`. Call `bayesOptSearch` or `runSearch` instead.
+ * Canonical BO co-search over the unique layers of a network, behind
+ * the registered "bayesopt" searcher; honors `cfg.control`. Call
+ * `runSearch` instead.
  */
 SearchResult bayesOptSearchImpl(const std::vector<Layer> &layers,
                                 const BayesOptConfig &cfg);

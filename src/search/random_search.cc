@@ -170,21 +170,18 @@ detail::randomSearchImpl(const std::vector<Layer> &layers,
 
 SearchResult
 detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
-                               const HardwareConfig &hw, int samples,
-                               uint64_t seed, int jobs,
-                               const LatencyScorer &scorer,
-                               SearchControl *control,
-                               const ParetoObjectives &pareto)
+                               const HardwareConfig &hw,
+                               const MapperConfig &cfg)
 {
     SearchResult result;
-    result.control = control;
-    if (pareto.active())
-        result.frontier.configure(pareto);
-    const double area_mm2 = pareto.active() ? configAreaMm2(hw) : 0.0;
-    result.reserveTrace(static_cast<size_t>(samples));
-    ThreadPool pool(jobs);
-    if (control != nullptr)
-        control->phase("sampling");
+    result.control = cfg.control;
+    if (cfg.pareto.active())
+        result.frontier.configure(cfg.pareto);
+    const double area_mm2 = cfg.pareto.active() ? configAreaMm2(hw) : 0.0;
+    result.reserveTrace(static_cast<size_t>(cfg.samples));
+    ThreadPool pool(cfg.jobs);
+    if (cfg.control != nullptr)
+        cfg.control->phase("sampling");
 
     /** One sample: a mapping per layer plus its evaluation. */
     struct Sample
@@ -205,28 +202,28 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
     std::vector<double> best_energy(layers.size(), 0.0);
     std::vector<double> best_latency(layers.size(), 0.0);
 
-    for (size_t chunk = 0; chunk < static_cast<size_t>(samples);
+    for (size_t chunk = 0; chunk < static_cast<size_t>(cfg.samples);
          chunk += kChunk) {
-        if (control != nullptr && control->stopRequested())
+        if (cfg.control != nullptr && cfg.control->stopRequested())
             break;
         size_t n = std::min(kChunk,
-                static_cast<size_t>(samples) - chunk);
+                static_cast<size_t>(cfg.samples) - chunk);
         auto drawn = pool.parallelMap(n, [&](size_t i) {
-            Rng rng = Rng::stream(seed, chunk + i);
+            Rng rng = Rng::stream(cfg.seed, chunk + i);
             Sample out;
             out.maps.reserve(layers.size());
             for (const Layer &layer : layers)
                 out.maps.push_back(randomValidMapping(layer, hw, rng));
             std::vector<double> lats;
-            if (scorer) {
+            if (cfg.scorer) {
                 lats.resize(layers.size(), 0.0);
-                scorer.scoreDesigns(
+                cfg.scorer.scoreDesigns(
                         makeLayerQueries(layers, out.maps, hw), lats);
             }
             for (size_t li = 0; li < layers.size(); ++li) {
                 RefEval ev = referenceEval(layers[li], out.maps[li],
                         hw);
-                double lat = scorer ? lats[li] : ev.latency;
+                double lat = cfg.scorer ? lats[li] : ev.latency;
                 out.edp.push_back(ev.energy_uj * lat);
                 out.energy.push_back(ev.energy_uj);
                 out.latency.push_back(lat);
@@ -237,7 +234,7 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
         // Serial incumbent reduction in sample order (hard stop
         // only: computed samples survive an expired deadline).
         for (Sample &sample : drawn) {
-            if (control != nullptr && control->recordingStopped())
+            if (cfg.control != nullptr && cfg.control->recordingStopped())
                 break;
             for (size_t li = 0; li < layers.size(); ++li) {
                 if (sample.edp[li] < best_layer_edp[li]) {
@@ -259,7 +256,7 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
             // the mapping-snapshot copy off the dominated path.
             ParetoCandidate candidate;
             std::span<const ParetoCandidate> candidates;
-            if (pareto.active() && l > 0.0 &&
+            if (cfg.pareto.active() && l > 0.0 &&
                 result.frontier.wouldAccept(edp, area_mm2,
                         e / l * 1000.0)) {
                 candidate.point.edp = edp;

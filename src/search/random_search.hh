@@ -52,53 +52,46 @@ struct RandomSearchConfig
     ParetoObjectives pareto;
 };
 
-/**
- * Run random hardware+mapping co-search over the unique layers of a
- * network. One sample = one mapping per layer on one hardware design.
- *
- * Compat shim over the `src/api` facade: dispatches through the
- * registered "random" searcher, bitwise-identical by construction.
- */
-SearchResult randomSearch(const std::vector<Layer> &layers,
-                          const RandomSearchConfig &cfg);
-
-/**
- * Fixed-hardware mapping search: `samples` random valid mappings per
- * layer; returns the best mapping per layer by per-layer EDP, plus the
- * resulting network EDP. Each sample draws from its own RNG stream, so
- * results are bit-identical for any `jobs` value. An optional scorer
- * replaces the reference latency (batched per sample through
- * `scoreDesigns`).
- *
- * Compat shim over the `src/api` facade: dispatches through the
- * registered "mapper" searcher, bitwise-identical by construction.
- */
-SearchResult randomMapperSearch(const std::vector<Layer> &layers,
-                                const HardwareConfig &hw, int samples,
-                                uint64_t seed, int jobs = 1,
-                                const LatencyScorer &scorer = {});
+/** Configuration of the fixed-hardware random mapper. */
+struct MapperConfig
+{
+    int samples = 1000; ///< mapping samples per layer
+    uint64_t seed = 1;
+    /**
+     * Worker threads fanning out over samples (each sample draws from
+     * its own RNG stream). Results are bit-identical for any value.
+     */
+    int jobs = 1;
+    /**
+     * Optional predicted-latency scorer, batched per sample through
+     * `scoreDesigns`. Empty = reference-model latency.
+     */
+    LatencyScorer scorer;
+    /** Cooperative run control (see RandomSearchConfig). Not owned. */
+    SearchControl *control = nullptr;
+    /** Multi-objective axes (see RandomSearchConfig). */
+    ParetoObjectives pareto;
+};
 
 namespace detail {
 
 /**
- * Canonical random co-search implementation behind the facade;
- * honors `cfg.control`. Call `randomSearch` or `runSearch` instead.
+ * Canonical random hardware+mapping co-search behind the registered
+ * "random" searcher; honors `cfg.control`. One sample = one mapping
+ * per layer on one hardware design. Call `runSearch` instead.
  */
 SearchResult randomSearchImpl(const std::vector<Layer> &layers,
                               const RandomSearchConfig &cfg);
 
 /**
- * Canonical fixed-hardware mapper implementation behind the facade;
- * honors `control`. Call `randomMapperSearch` or `runSearch` instead.
+ * Canonical fixed-hardware mapper behind the registered "mapper"
+ * searcher; honors `cfg.control`. Draws `cfg.samples` random valid
+ * mappings per layer on `hw` and keeps the best mapping per layer by
+ * per-layer EDP. Call `runSearch` instead.
  */
 SearchResult randomMapperSearchImpl(const std::vector<Layer> &layers,
                                     const HardwareConfig &hw,
-                                    int samples, uint64_t seed,
-                                    int jobs,
-                                    const LatencyScorer &scorer,
-                                    SearchControl *control,
-                                    const ParetoObjectives &pareto =
-                                            {});
+                                    const MapperConfig &cfg);
 
 } // namespace detail
 

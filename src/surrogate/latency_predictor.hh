@@ -91,7 +91,7 @@ class LatencyPredictor
 
     LatencyModelKind kind() const { return kind_; }
 
-    /** Scorer closure for DosaConfig::score_latency. */
+    /** Scorer closure for DosaConfig::scorer (SearchSpec::scorer). */
     LatencyScorer scorer() const;
 
     /**

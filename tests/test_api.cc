@@ -1,149 +1,29 @@
 /**
  * @file
  * Unit tests of the `src/api` search facade: registry round-trips,
- * bitwise facade-vs-legacy equivalence against the checked-in golden
- * fixtures, the observer streaming contract (sample accounting,
- * improvement events, phases), cooperative cancellation and deadline
- * enforcement, budget-derived option defaults, trace pre-reservation
- * and serial==parallel determinism through `runSearch`.
+ * the observer streaming contract (sample accounting, improvement
+ * events, phases), cooperative cancellation and deadline enforcement,
+ * budget-derived option defaults, trace pre-reservation, option
+ * validation over every searcher's option table and serial==parallel
+ * determinism through `runSearch`.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "api/search_api.hh"
 #include "api/spec_json.hh"
-#include "core/dosa_optimizer.hh"
+#include "golden.hh"
 #include "model/reference.hh"
 #include "workload/workload_registry.hh"
-#include "search/bayes_opt.hh"
-#include "search/random_search.hh"
-#include "workload/layer.hh"
 
 namespace dosa {
 namespace {
-
-/** The canonical two-layer workload of the golden-trace fixtures. */
-std::vector<Layer>
-goldenLayers()
-{
-    return {
-        Layer::gemm("a", 128, 64, 256),
-        Layer::conv("b", 3, 16, 32, 64),
-    };
-}
-
-/** Minimal reader of the tests/golden/ fixture format. */
-struct Golden
-{
-    std::vector<double> trace;
-    double best_edp = 0.0;
-    long long pe_dim = 0, accum_kib = 0, spad_kib = 0;
-};
-
-void
-readGolden(const std::string &name, Golden &g)
-{
-    const std::string path =
-            std::string(DOSA_SOURCE_DIR) + "/tests/golden/" + name +
-            ".trace";
-    FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr) << "missing fixture " << path;
-    char line[256];
-    size_t n = 0;
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr); // comment
-    ASSERT_EQ(std::fscanf(f, "trace %zu\n", &n), 1);
-    g.trace.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-        g.trace[i] = std::strtod(line, nullptr);
-    }
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-    g.best_edp = std::strtod(line + std::strlen("best_edp "), nullptr);
-    ASSERT_EQ(std::fscanf(f, "best_hw %lld %lld %lld", &g.pe_dim,
-                      &g.accum_kib, &g.spad_kib),
-            3);
-    std::fclose(f);
-}
-
-/** Exact-compare a facade run against a golden fixture. */
-void
-expectMatchesGolden(const std::string &name, const SearchResult &r)
-{
-    Golden g;
-    readGolden(name, g);
-    if (::testing::Test::HasFatalFailure())
-        return;
-    ASSERT_EQ(r.trace.size(), g.trace.size()) << name;
-    size_t mismatches = 0;
-    for (size_t i = 0; i < g.trace.size(); ++i)
-        if (r.trace[i] != g.trace[i] &&
-            !(std::isnan(r.trace[i]) && std::isnan(g.trace[i])))
-            ++mismatches;
-    EXPECT_EQ(mismatches, 0u) << name << ": facade trace drifted";
-    EXPECT_EQ(r.best_edp, g.best_edp) << name;
-    EXPECT_EQ(r.best_hw.pe_dim, g.pe_dim) << name;
-    EXPECT_EQ(r.best_hw.accum_kib, g.accum_kib) << name;
-    EXPECT_EQ(r.best_hw.spad_kib, g.spad_kib) << name;
-}
-
-// ---- The facade specs equivalent to the golden fixture configs.
-
-SearchSpec
-goldenDosaSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "dosa";
-    spec.workload = goldenLayers();
-    spec.seed = 5;
-    spec.options.set("start_points", 3)
-            .set("steps_per_start", 30)
-            .set("round_every", 15);
-    return spec;
-}
-
-SearchSpec
-goldenRandomSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "random";
-    spec.workload = goldenLayers();
-    spec.seed = 3;
-    spec.options.set("hw_designs", 4).set("mappings_per_hw", 30);
-    return spec;
-}
-
-SearchSpec
-goldenMapperSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "mapper";
-    spec.workload = goldenLayers();
-    spec.seed = 17;
-    spec.options.set("samples", 40);
-    return spec;
-}
-
-SearchSpec
-goldenBayesOptSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "bayesopt";
-    spec.workload = goldenLayers();
-    spec.seed = 21;
-    spec.options.set("warmup_samples", 6)
-            .set("total_samples", 14)
-            .set("hw_candidates", 3)
-            .set("map_candidates", 4);
-    return spec;
-}
 
 TEST(ApiRegistry, ListsAllBuiltinAlgorithms)
 {
@@ -178,7 +58,7 @@ class StubSearcher : public Searcher
     const char *name() const override { return "stub-algo"; }
     const char *description() const override { return desc_; }
 
-    std::vector<std::string_view> optionKeys() const override
+    std::vector<SearcherOption> options() const override
     {
         return {};
     }
@@ -215,33 +95,6 @@ TEST(ApiRegistry, CustomRegistrationAndLatestWinsShadowing)
     EXPECT_NE(Search::find("dosa"), nullptr);
 }
 
-// Facade ≡ legacy bitwise: the fixtures were generated through the
-// legacy free functions; running the equivalent SearchSpec through
-// runSearch must reproduce them exactly.
-
-TEST(ApiGoldenEquivalence, Dosa)
-{
-    expectMatchesGolden("dosa", runSearch(goldenDosaSpec()).search);
-}
-
-TEST(ApiGoldenEquivalence, Random)
-{
-    expectMatchesGolden("random",
-            runSearch(goldenRandomSpec()).search);
-}
-
-TEST(ApiGoldenEquivalence, Mapper)
-{
-    expectMatchesGolden("mapper",
-            runSearch(goldenMapperSpec()).search);
-}
-
-TEST(ApiGoldenEquivalence, BayesOpt)
-{
-    expectMatchesGolden("bayesopt",
-            runSearch(goldenBayesOptSpec()).search);
-}
-
 /** Observer counting every event for the accounting tests. */
 class CountingObserver : public SearchObserver
 {
@@ -276,9 +129,7 @@ class CountingObserver : public SearchObserver
 
 TEST(ApiObserver, SampleCountEqualsTraceLengthForEveryAlgorithm)
 {
-    for (const SearchSpec &spec :
-         {goldenDosaSpec(), goldenRandomSpec(), goldenMapperSpec(),
-          goldenBayesOptSpec()}) {
+    for (const SearchSpec &spec : goldenSpecs()) {
         CountingObserver obs;
         SearchReport report = runSearch(spec, &obs);
         EXPECT_EQ(obs.samples, report.search.trace.size())
@@ -356,9 +207,7 @@ TEST(ApiCancellation, StopsWithinOneSample)
 
 TEST(ApiCancellation, WorksForEveryAlgorithm)
 {
-    for (const SearchSpec &base :
-         {goldenDosaSpec(), goldenRandomSpec(), goldenMapperSpec(),
-          goldenBayesOptSpec()}) {
+    for (const SearchSpec &base : goldenSpecs()) {
         SearchSpec spec = base;
         CancellingObserver obs(3);
         SearchReport report = runSearch(spec, &obs);
@@ -469,9 +318,7 @@ TEST(ApiDeadline, ComputedSamplesSurviveTheDeadline)
 
 TEST(ApiDeterminism, SerialEqualsParallelForEveryAlgorithm)
 {
-    for (const SearchSpec &base :
-         {goldenDosaSpec(), goldenRandomSpec(), goldenMapperSpec(),
-          goldenBayesOptSpec()}) {
+    for (const SearchSpec &base : goldenSpecs()) {
         SearchSpec serial = base;
         serial.jobs = 1;
         SearchSpec parallel = base;
@@ -526,6 +373,86 @@ TEST(ApiSpecValidation, RejectsNumbersThatWouldLeaveInt)
     spec = goldenMapperSpec();
     spec.options.set("samples", std::numeric_limits<int>::max());
     EXPECT_TRUE(validateSpec(spec, error)) << error;
+
+    // Values inside int that would still take a run down: a zero
+    // modulus (SIGFPE), a negative count (std::length_error), zero
+    // candidates (panic), and enum and flag values outside their
+    // domain (an unknown strategy would silently run as Iterate).
+    struct Case
+    {
+        SearchSpec (*golden)();
+        const char *key;
+        double value;
+    };
+    const Case out_of_domain[] = {
+        {goldenDosaSpec, "round_every", 0},
+        {goldenBayesOptSpec, "refit_every", 0},
+        {goldenDosaSpec, "start_points", -1},
+        {goldenDosaSpec, "steps_per_start", -1},
+        {goldenRandomSpec, "hw_designs", -1},
+        {goldenRandomSpec, "mappings_per_hw", -1},
+        {goldenMapperSpec, "samples", -1},
+        {goldenBayesOptSpec, "total_samples", -1},
+        {goldenBayesOptSpec, "hw_candidates", -1},
+        {goldenBayesOptSpec, "map_candidates", -1},
+        {goldenBayesOptSpec, "hw_candidates", 0},
+        {goldenBayesOptSpec, "map_candidates", 0},
+        {goldenDosaSpec, "strategy", 3},
+        {goldenDosaSpec, "strategy", -1},
+        {goldenDosaSpec, "project_feasible", 2},
+        {goldenDosaSpec, "restart_from_best", -1},
+    };
+    for (const Case &c : out_of_domain) {
+        spec = c.golden();
+        spec.options.set(c.key, c.value);
+        EXPECT_FALSE(validateSpec(spec, error))
+                << c.key << " = " << c.value;
+        EXPECT_NE(error.find(std::string("option \"") + c.key + "\""),
+                std::string::npos)
+                << error;
+    }
+}
+
+TEST(ApiOptionDomain, EveryOptionRunsAtItsBoundsAndRejectsPastThem)
+{
+    // For every builtin searcher and every row of its option table,
+    // the golden spec with that option at its minimum (and, for flag
+    // and enum rows, at its maximum) validates and runs to its
+    // planned length, and one step past either end is rejected with
+    // the key named. Under the sanitizer job this is the gate that no
+    // admitted option value crashes a run or reaches undefined
+    // behaviour.
+    constexpr double kIntMax = std::numeric_limits<int>::max();
+    for (const SearchSpec &golden : goldenSpecs()) {
+        const Searcher *searcher = Search::find(golden.algorithm);
+        ASSERT_NE(searcher, nullptr) << golden.algorithm;
+        for (const SearcherOption &row : searcher->options()) {
+            const std::string key(row.key);
+            std::vector<double> admitted{row.min};
+            if (row.max < kIntMax)
+                admitted.push_back(row.max);
+            for (double value : admitted) {
+                SearchSpec spec = golden;
+                spec.options.set(key, value);
+                std::string error;
+                ASSERT_TRUE(validateSpec(spec, error)) << error;
+                SearchReport report = runSearch(spec);
+                EXPECT_EQ(report.search.trace.size(),
+                        searcher->plannedSamples(spec))
+                        << key << " = " << value;
+            }
+            for (double value : {row.min - 1, row.max + 1}) {
+                SearchSpec spec = golden;
+                spec.options.set(key, value);
+                std::string error;
+                EXPECT_FALSE(validateSpec(spec, error))
+                        << key << " = " << value;
+                EXPECT_NE(error.find("option \"" + key + "\""),
+                        std::string::npos)
+                        << error;
+            }
+        }
+    }
 }
 
 TEST(ApiDeathTest, UnknownAlgorithmIsFatalAndListsRegistry)

@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "api/search_api.hh"
 #include "arch/area_model.hh"
 #include "autodiff/tape.hh"
 #include "autodiff/var.hh"
 #include "arch/baselines.hh"
-#include "core/dosa_optimizer.hh"
 #include "workload/model_zoo.hh"
 
 namespace dosa {
@@ -59,13 +59,15 @@ TEST(AreaConstrainedSearch, RespectsBudget)
             net.layers.begin() + 3);
     const double budget = 3.0; // mm^2: rules out huge arrays
 
-    DosaConfig cfg;
-    cfg.start_points = 3;
-    cfg.steps_per_start = 300;
-    cfg.round_every = 100;
-    cfg.mode.max_area_mm2 = budget;
-    cfg.seed = 5;
-    DosaResult r = dosaSearch(layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = layers;
+    spec.options.set("start_points", 3)
+            .set("steps_per_start", 300)
+            .set("round_every", 100);
+    spec.mode.max_area_mm2 = budget;
+    spec.seed = 5;
+    SearchReport r = runSearch(spec);
     ASSERT_LT(r.search.best_edp,
             std::numeric_limits<double>::infinity());
     EXPECT_LE(configAreaMm2(r.search.best_hw), budget);
@@ -76,16 +78,18 @@ TEST(AreaConstrainedSearch, BudgetTradesOffEdp)
     Network net = bertBase();
     std::vector<Layer> layers(net.layers.begin(),
             net.layers.begin() + 3);
-    DosaConfig open;
-    open.start_points = 3;
-    open.steps_per_start = 300;
-    open.round_every = 100;
+    SearchSpec open;
+    open.algorithm = "dosa";
+    open.workload = layers;
+    open.options.set("start_points", 3)
+            .set("steps_per_start", 300)
+            .set("round_every", 100);
     open.seed = 9;
-    DosaConfig tight = open;
+    SearchSpec tight = open;
     tight.mode.max_area_mm2 = 2.0;
 
-    DosaResult r_open = dosaSearch(layers, open);
-    DosaResult r_tight = dosaSearch(layers, tight);
+    SearchReport r_open = runSearch(open);
+    SearchReport r_tight = runSearch(tight);
     ASSERT_LT(r_tight.search.best_edp,
             std::numeric_limits<double>::infinity());
     // A hard area budget cannot make the best EDP better.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 
+#include "api/search_api.hh"
 #include "core/adam.hh"
 #include "core/dosa_optimizer.hh"
 #include "core/objective.hh"
@@ -318,12 +319,14 @@ TEST(SelectOrders, NeverWorseThanUniformWs)
 TEST(DosaSearch, ImprovesOverStartPoint)
 {
     Network net = bertBase();
-    DosaConfig cfg;
-    cfg.start_points = 1;
-    cfg.steps_per_start = 120;
-    cfg.round_every = 60;
-    cfg.seed = 3;
-    DosaResult r = dosaSearch(net.layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = net.layers;
+    spec.options.set("start_points", 1)
+            .set("steps_per_start", 120)
+            .set("round_every", 60);
+    spec.seed = 3;
+    SearchReport r = runSearch(spec);
     EXPECT_LT(r.search.best_edp, r.best_start_edp);
     EXPECT_EQ(r.search.trace.size(), 121u);
     NetworkEval ev = referenceNetworkEval(net.layers,
@@ -337,13 +340,15 @@ TEST(DosaSearch, DeterministicInSeed)
     Network net = unet();
     std::vector<Layer> layers(net.layers.begin(),
             net.layers.begin() + 4);
-    DosaConfig cfg;
-    cfg.start_points = 1;
-    cfg.steps_per_start = 40;
-    cfg.round_every = 20;
-    cfg.seed = 9;
-    DosaResult a = dosaSearch(layers, cfg);
-    DosaResult b = dosaSearch(layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = layers;
+    spec.options.set("start_points", 1)
+            .set("steps_per_start", 40)
+            .set("round_every", 20);
+    spec.seed = 9;
+    SearchReport a = runSearch(spec);
+    SearchReport b = runSearch(spec);
     EXPECT_DOUBLE_EQ(a.search.best_edp, b.search.best_edp);
 }
 
@@ -352,14 +357,16 @@ TEST(DosaSearch, FixPeModeKeepsPeDim)
     Network net = bertBase();
     std::vector<Layer> layers(net.layers.begin(),
             net.layers.begin() + 3);
-    DosaConfig cfg;
-    cfg.start_points = 1;
-    cfg.steps_per_start = 60;
-    cfg.round_every = 30;
-    cfg.mode.fix_pe = true;
-    cfg.mode.pe_dim = 16;
-    cfg.seed = 4;
-    DosaResult r = dosaSearch(layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = layers;
+    spec.options.set("start_points", 1)
+            .set("steps_per_start", 60)
+            .set("round_every", 30);
+    spec.mode.fix_pe = true;
+    spec.mode.pe_dim = 16;
+    spec.seed = 4;
+    SearchReport r = runSearch(spec);
     EXPECT_EQ(r.search.best_hw.pe_dim, 16);
     for (const Mapping &m : r.search.best_mappings) {
         EXPECT_LE(m.factors.spatial_c, 16);

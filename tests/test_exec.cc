@@ -11,10 +11,8 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/dosa_optimizer.hh"
+#include "api/search_api.hh"
 #include "exec/thread_pool.hh"
-#include "search/bayes_opt.hh"
-#include "search/random_search.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
 
@@ -135,27 +133,23 @@ TEST(RngStream, DoesNotPerturbParent)
     EXPECT_EQ(before, parent2.engine()());
 }
 
-/** Tiny-but-real DOSA config for determinism runs. */
-DosaConfig
-smallDosaConfig(uint64_t seed, int jobs)
-{
-    DosaConfig cfg;
-    cfg.start_points = 3;
-    cfg.steps_per_start = 30;
-    cfg.round_every = 15;
-    cfg.seed = seed;
-    cfg.jobs = jobs;
-    return cfg;
-}
-
 TEST(ExecDeterminism, DosaSerialEqualsParallel)
 {
-    std::vector<Layer> layers = {
+    // Tiny-but-real DOSA run for determinism checks.
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = {
         Layer::gemm("a", 128, 64, 256),
         Layer::conv("b", 3, 16, 32, 64),
     };
-    DosaResult serial = dosaSearch(layers, smallDosaConfig(5, 1));
-    DosaResult parallel = dosaSearch(layers, smallDosaConfig(5, 4));
+    spec.options.set("start_points", 3)
+            .set("steps_per_start", 30)
+            .set("round_every", 15);
+    spec.seed = 5;
+    spec.jobs = 1;
+    SearchReport serial = runSearch(spec);
+    spec.jobs = 4;
+    SearchReport parallel = runSearch(spec);
 
     // Byte-identical traces and results, not merely "close".
     ASSERT_EQ(serial.search.trace.size(), parallel.search.trace.size());
@@ -175,15 +169,15 @@ TEST(ExecDeterminism, DosaSerialEqualsParallel)
 
 TEST(ExecDeterminism, RandomSearchSerialEqualsParallel)
 {
-    std::vector<Layer> layers = {Layer::gemm("a", 64, 128, 64)};
-    RandomSearchConfig cfg;
-    cfg.hw_designs = 4;
-    cfg.mappings_per_hw = 30;
-    cfg.seed = 3;
-    cfg.jobs = 1;
-    SearchResult serial = randomSearch(layers, cfg);
-    cfg.jobs = 4;
-    SearchResult parallel = randomSearch(layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "random";
+    spec.workload = {Layer::gemm("a", 64, 128, 64)};
+    spec.options.set("hw_designs", 4).set("mappings_per_hw", 30);
+    spec.seed = 3;
+    spec.jobs = 1;
+    SearchResult serial = runSearch(spec).search;
+    spec.jobs = 4;
+    SearchResult parallel = runSearch(spec).search;
     EXPECT_EQ(serial.trace, parallel.trace);
     EXPECT_EQ(serial.best_edp, parallel.best_edp);
     EXPECT_EQ(serial.best_hw, parallel.best_hw);
@@ -191,11 +185,16 @@ TEST(ExecDeterminism, RandomSearchSerialEqualsParallel)
 
 TEST(ExecDeterminism, RandomMapperSerialEqualsParallel)
 {
-    std::vector<Layer> layers = resnet50().layers;
-    layers.resize(3);
-    HardwareConfig hw;
-    SearchResult serial = randomMapperSearch(layers, hw, 40, 17, 1);
-    SearchResult parallel = randomMapperSearch(layers, hw, 40, 17, 5);
+    SearchSpec spec;
+    spec.algorithm = "mapper";
+    spec.workload = resnet50().layers;
+    spec.workload.resize(3);
+    spec.options.set("samples", 40);
+    spec.seed = 17;
+    spec.jobs = 1;
+    SearchResult serial = runSearch(spec).search;
+    spec.jobs = 5;
+    SearchResult parallel = runSearch(spec).search;
     EXPECT_EQ(serial.trace, parallel.trace);
     EXPECT_EQ(serial.best_edp, parallel.best_edp);
     ASSERT_EQ(serial.best_mappings.size(),
@@ -206,19 +205,20 @@ TEST(ExecDeterminism, RandomMapperSerialEqualsParallel)
 
 TEST(ExecDeterminism, BayesOptSerialEqualsParallel)
 {
-    std::vector<Layer> layers = {Layer::gemm("a", 64, 64, 128)};
-    BayesOptConfig cfg;
-    cfg.warmup_samples = 6;
-    cfg.total_samples = 14;
+    SearchSpec spec;
+    spec.algorithm = "bayesopt";
+    spec.workload = {Layer::gemm("a", 64, 64, 128)};
     // 3 x 12 = 36 candidates per round: two GP query tiles, so at
     // jobs 4 the round's acquisition is split over the pool too.
-    cfg.hw_candidates = 3;
-    cfg.map_candidates = 12;
-    cfg.seed = 21;
-    cfg.jobs = 1;
-    SearchResult serial = bayesOptSearch(layers, cfg);
-    cfg.jobs = 4;
-    SearchResult parallel = bayesOptSearch(layers, cfg);
+    spec.options.set("warmup_samples", 6)
+            .set("total_samples", 14)
+            .set("hw_candidates", 3)
+            .set("map_candidates", 12);
+    spec.seed = 21;
+    spec.jobs = 1;
+    SearchResult serial = runSearch(spec).search;
+    spec.jobs = 4;
+    SearchResult parallel = runSearch(spec).search;
     EXPECT_EQ(serial.trace, parallel.trace);
     EXPECT_EQ(serial.best_edp, parallel.best_edp);
     EXPECT_EQ(serial.best_hw, parallel.best_hw);

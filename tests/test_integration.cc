@@ -9,12 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "api/search_api.hh"
 #include "arch/baselines.hh"
-#include "core/dosa_optimizer.hh"
 #include "model/reference.hh"
 #include "rtl/gemmini_rtl.hh"
 #include "search/cosa_mapper.hh"
-#include "search/random_search.hh"
 #include "surrogate/dataset.hh"
 #include "surrogate/latency_predictor.hh"
 #include "workload/model_zoo.hh"
@@ -30,26 +29,35 @@ miniWorkload()
     return {net.layers[0], net.layers[4], net.layers[5]};
 }
 
+/** DOSA on the mini workload with the given schedule and seed. */
+SearchSpec
+miniDosaSpec(int start_points, int steps_per_start, int round_every,
+             uint64_t seed)
+{
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = miniWorkload();
+    spec.options.set("start_points", start_points)
+            .set("steps_per_start", steps_per_start)
+            .set("round_every", round_every);
+    spec.seed = seed;
+    return spec;
+}
+
 TEST(Integration, DosaBeatsRandomSearchAtEqualSamples)
 {
-    std::vector<Layer> layers = miniWorkload();
-
-    DosaConfig dcfg;
-    dcfg.start_points = 2;
-    dcfg.steps_per_start = 150;
-    dcfg.round_every = 50;
-    dcfg.seed = 1;
-    DosaResult dosa = dosaSearch(layers, dcfg);
+    SearchReport dosa = runSearch(miniDosaSpec(2, 150, 50, 1));
     size_t samples = dosa.search.trace.size();
 
-    RandomSearchConfig rcfg;
-    rcfg.hw_designs = 4;
-    rcfg.mappings_per_hw =
-            static_cast<int>(samples) / rcfg.hw_designs;
-    rcfg.seed = 1;
-    SearchResult random = randomSearch(layers, rcfg);
+    SearchSpec rspec;
+    rspec.algorithm = "random";
+    rspec.workload = miniWorkload();
+    rspec.options.set("hw_designs", 4)
+            .set("mappings_per_hw", static_cast<int>(samples) / 4);
+    rspec.seed = 1;
+    SearchReport random = runSearch(rspec);
 
-    EXPECT_LT(dosa.search.best_edp, random.best_edp);
+    EXPECT_LT(dosa.search.best_edp, random.search.best_edp);
 }
 
 TEST(Integration, DosaHardwareHelpsUnderConstantMapper)
@@ -58,12 +66,7 @@ TEST(Integration, DosaHardwareHelpsUnderConstantMapper)
     // mappings should beat the start-point hardware with CoSA
     // mappings (hardware improvement is real, not mapper luck).
     std::vector<Layer> layers = miniWorkload();
-    DosaConfig cfg;
-    cfg.start_points = 2;
-    cfg.steps_per_start = 150;
-    cfg.round_every = 50;
-    cfg.seed = 5;
-    DosaResult r = dosaSearch(layers, cfg);
+    SearchReport r = runSearch(miniDosaSpec(2, 150, 50, 5));
 
     auto cosa_on = [&](const HardwareConfig &hw) {
         std::vector<Mapping> maps;
@@ -83,12 +86,7 @@ TEST(Integration, DosaOptimizedGemminiBeatsExpertBaselines)
     // Fig. 8 in miniature: the co-searched design should outperform
     // at least the constrained baselines on its target workload.
     std::vector<Layer> layers = miniWorkload();
-    DosaConfig cfg;
-    cfg.start_points = 2;
-    cfg.steps_per_start = 150;
-    cfg.round_every = 50;
-    cfg.seed = 7;
-    DosaResult r = dosaSearch(layers, cfg);
+    SearchReport r = runSearch(miniDosaSpec(2, 150, 50, 7));
 
     for (const BaselineAccelerator &base :
          {nvdlaSmall(), gemminiDefault()}) {
@@ -114,16 +112,12 @@ TEST(Integration, SurrogateGuidedRtlOptimizationImproves)
             3);
     SurrogateDiffModel diff(combined);
 
-    DosaConfig cfg;
-    cfg.start_points = 2;
-    cfg.steps_per_start = 120;
-    cfg.round_every = 40;
-    cfg.mode.fix_pe = true;
-    cfg.mode.pe_dim = 16;
-    cfg.mode.latency_model = &diff;
-    cfg.score_latency = combined.scorer();
-    cfg.seed = 11;
-    DosaResult r = dosaSearch(layers, cfg);
+    SearchSpec spec = miniDosaSpec(2, 120, 40, 11);
+    spec.mode.fix_pe = true;
+    spec.mode.pe_dim = 16;
+    spec.mode.latency_model = &diff;
+    spec.scorer = combined.scorer();
+    SearchReport r = runSearch(spec);
 
     auto rtl_edp = [&](const std::vector<Mapping> &maps,
                        const HardwareConfig &hw) {
@@ -151,17 +145,14 @@ TEST(Integration, SurrogateGuidedRtlOptimizationImproves)
 
 TEST(Integration, IterateOrderingNoWorseThanFixed)
 {
-    std::vector<Layer> layers = miniWorkload();
-    DosaConfig fixed;
-    fixed.start_points = 1;
-    fixed.steps_per_start = 100;
-    fixed.round_every = 50;
-    fixed.strategy = OrderStrategy::Fixed;
-    fixed.seed = 13;
-    DosaConfig iter = fixed;
-    iter.strategy = OrderStrategy::Iterate;
-    double edp_fixed = dosaSearch(layers, fixed).search.best_edp;
-    double edp_iter = dosaSearch(layers, iter).search.best_edp;
+    SearchSpec fixed = miniDosaSpec(1, 100, 50, 13);
+    fixed.options.set("strategy",
+            static_cast<double>(OrderStrategy::Fixed));
+    SearchSpec iter = fixed;
+    iter.options.set("strategy",
+            static_cast<double>(OrderStrategy::Iterate));
+    double edp_fixed = runSearch(fixed).search.best_edp;
+    double edp_iter = runSearch(iter).search.best_edp;
     EXPECT_LE(edp_iter, edp_fixed * 1.001);
 }
 

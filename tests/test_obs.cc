@@ -15,16 +15,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/search_api.hh"
+#include "golden.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "obs/trajectory.hh"
@@ -335,101 +333,6 @@ TEST(Trace, WriteFileRoundTripsThroughParser)
 // ---------------------------------------------------------------
 // The invisibility contract, end to end.
 // ---------------------------------------------------------------
-
-/** The canonical two-layer workload of the golden fixtures. */
-std::vector<Layer>
-goldenLayers()
-{
-    return {
-        Layer::gemm("a", 128, 64, 256),
-        Layer::conv("b", 3, 16, 32, 64),
-    };
-}
-
-/** The facade specs equivalent to the tests/golden/ fixture configs. */
-std::vector<SearchSpec>
-goldenSpecs()
-{
-    SearchSpec dosa;
-    dosa.algorithm = "dosa";
-    dosa.workload = goldenLayers();
-    dosa.seed = 5;
-    dosa.options.set("start_points", 3)
-            .set("steps_per_start", 30)
-            .set("round_every", 15);
-
-    SearchSpec random;
-    random.algorithm = "random";
-    random.workload = goldenLayers();
-    random.seed = 3;
-    random.options.set("hw_designs", 4).set("mappings_per_hw", 30);
-
-    SearchSpec mapper;
-    mapper.algorithm = "mapper";
-    mapper.workload = goldenLayers();
-    mapper.seed = 17;
-    mapper.options.set("samples", 40);
-
-    SearchSpec bayesopt;
-    bayesopt.algorithm = "bayesopt";
-    bayesopt.workload = goldenLayers();
-    bayesopt.seed = 21;
-    bayesopt.options.set("warmup_samples", 6)
-            .set("total_samples", 14)
-            .set("hw_candidates", 3)
-            .set("map_candidates", 4);
-
-    return {dosa, random, mapper, bayesopt};
-}
-
-/** Golden fixture contents (format of tests/test_golden_traces.cc). */
-struct Golden
-{
-    std::vector<double> trace;
-    double best_edp = 0.0;
-    long long pe_dim = 0, accum_kib = 0, spad_kib = 0;
-};
-
-void
-readGolden(const std::string &name, Golden &g)
-{
-    const std::string path = std::string(DOSA_SOURCE_DIR) +
-            "/tests/golden/" + name + ".trace";
-    FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr) << "missing fixture " << path;
-    char line[256];
-    size_t n = 0;
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr); // comment
-    ASSERT_EQ(std::fscanf(f, "trace %zu\n", &n), 1);
-    g.trace.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-        g.trace[i] = std::strtod(line, nullptr);
-    }
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-    g.best_edp = std::strtod(line + std::strlen("best_edp "), nullptr);
-    ASSERT_EQ(std::fscanf(f, "best_hw %lld %lld %lld", &g.pe_dim,
-                      &g.accum_kib, &g.spad_kib),
-            3);
-    std::fclose(f);
-}
-
-void
-expectBitwiseEqual(const std::string &name, const SearchResult &r,
-                   const Golden &g)
-{
-    ASSERT_EQ(r.trace.size(), g.trace.size()) << name;
-    size_t mismatches = 0;
-    for (size_t i = 0; i < g.trace.size(); ++i)
-        if (r.trace[i] != g.trace[i] &&
-            !(std::isnan(r.trace[i]) && std::isnan(g.trace[i])))
-            ++mismatches;
-    EXPECT_EQ(mismatches, 0u) << name << ": trace drifted";
-    EXPECT_EQ(r.best_edp, g.best_edp) << name;
-    EXPECT_EQ(r.best_hw.pe_dim, g.pe_dim) << name;
-    EXPECT_EQ(r.best_hw.accum_kib, g.accum_kib) << name;
-    EXPECT_EQ(r.best_hw.spad_kib, g.spad_kib) << name;
-}
 
 TEST(ObsInvariance, GoldenTracesBitwiseWithObservabilityOnAndOff)
 {

@@ -10,8 +10,8 @@
 
 #include <cmath>
 
+#include "api/search_api.hh"
 #include "core/adam.hh"
-#include "core/dosa_optimizer.hh"
 #include "core/objective.hh"
 #include "model/analytical.hh"
 #include "model/reference.hh"
@@ -143,14 +143,16 @@ TEST(AblationToggles, VariantsRunAndStayValid)
             net.layers.begin() + 3);
     for (bool project : {true, false}) {
         for (bool restart : {true, false}) {
-            DosaConfig cfg;
-            cfg.start_points = 1;
-            cfg.steps_per_start = 60;
-            cfg.round_every = 30;
-            cfg.project_feasible = project;
-            cfg.restart_from_best = restart;
-            cfg.seed = 5;
-            DosaResult r = dosaSearch(layers, cfg);
+            SearchSpec spec;
+            spec.algorithm = "dosa";
+            spec.workload = layers;
+            spec.options.set("start_points", 1)
+                    .set("steps_per_start", 60)
+                    .set("round_every", 30)
+                    .set("project_feasible", project)
+                    .set("restart_from_best", restart);
+            spec.seed = 5;
+            SearchReport r = runSearch(spec);
             NetworkEval ev = referenceNetworkEval(layers,
                     r.search.best_mappings, r.search.best_hw);
             EXPECT_TRUE(ev.fits);
@@ -169,12 +171,14 @@ TEST(Projection, KeepsDramResidualsValid)
     Network net = unet();
     std::vector<Layer> layers(net.layers.begin(),
             net.layers.begin() + 5);
-    DosaConfig cfg;
-    cfg.start_points = 2;
-    cfg.steps_per_start = 120;
-    cfg.round_every = 40;
-    cfg.seed = 77;
-    DosaResult r = dosaSearch(layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "dosa";
+    spec.workload = layers;
+    spec.options.set("start_points", 2)
+            .set("steps_per_start", 120)
+            .set("round_every", 40);
+    spec.seed = 77;
+    SearchReport r = runSearch(spec);
     EXPECT_LT(r.search.best_edp,
             std::numeric_limits<double>::infinity());
     for (size_t i = 0; i < layers.size(); ++i)
@@ -188,15 +192,17 @@ TEST(GreedyRestart, NeverWorseFinalThanLatestRestart)
     Network net = resnet50();
     std::vector<Layer> layers(net.layers.begin(),
             net.layers.begin() + 8);
-    DosaConfig a;
-    a.start_points = 2;
-    a.steps_per_start = 300;
-    a.round_every = 100;
+    SearchSpec a;
+    a.algorithm = "dosa";
+    a.workload = layers;
+    a.options.set("start_points", 2)
+            .set("steps_per_start", 300)
+            .set("round_every", 100);
     a.seed = 3;
-    DosaConfig b = a;
-    b.restart_from_best = false;
-    double with = dosaSearch(layers, a).search.best_edp;
-    double without = dosaSearch(layers, b).search.best_edp;
+    SearchSpec b = a;
+    b.options.set("restart_from_best", 0);
+    double with = runSearch(a).search.best_edp;
+    double without = runSearch(b).search.best_edp;
     EXPECT_LE(with, without * 1.10); // allow small stochastic slack
 }
 

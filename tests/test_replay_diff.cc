@@ -5,8 +5,9 @@
  * `Tape::replayBatch` / `gradientBatchInto` bitwise-match N
  * independent `replay` / `gradientInto` calls across lane widths,
  * plus the layers above — `ObjectiveEngine::evalBatch` vs N scalar
- * evals, the surrogate bulk scorer vs its point path, the batched
- * line-search probe — and death tests for the batch API contract.
+ * evals, the surrogate bulk scorer vs its point path, scored
+ * searchers serial vs parallel — and death tests for the batch API
+ * contract.
  */
 
 #include <gtest/gtest.h>
@@ -17,13 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "api/search_api.hh"
 #include "autodiff/tape.hh"
 #include "autodiff/var.hh"
-#include "core/dosa_optimizer.hh"
 #include "core/objective.hh"
-#include "search/bayes_opt.hh"
 #include "search/cosa_mapper.hh"
-#include "search/random_search.hh"
 #include "surrogate/latency_predictor.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
@@ -480,106 +479,46 @@ TEST(ReplayDiff, PredictorBatchMatchesPointPredictions)
     }
 }
 
-// ---- Batched line-search probe. -----------------------------------
-
-TEST(ReplayDiff, LineSearchProbeDeterministicAcrossJobs)
-{
-    std::vector<Layer> layers = {
-        Layer::gemm("a", 128, 64, 256),
-        Layer::conv("b", 3, 16, 32, 64),
-    };
-    DosaConfig cfg;
-    cfg.start_points = 2;
-    cfg.steps_per_start = 20;
-    cfg.round_every = 10;
-    cfg.seed = 5;
-    cfg.line_search_probes = 3;
-    cfg.jobs = 1;
-    DosaResult serial = dosaSearch(layers, cfg);
-    cfg.jobs = 4;
-    DosaResult parallel = dosaSearch(layers, cfg);
-    ASSERT_EQ(serial.search.trace.size(),
-            parallel.search.trace.size());
-    for (size_t i = 0; i < serial.search.trace.size(); ++i)
-        EXPECT_EQ(serial.search.trace[i], parallel.search.trace[i]);
-    EXPECT_EQ(serial.search.best_edp, parallel.search.best_edp);
-    EXPECT_EQ(serial.search.best_hw, parallel.search.best_hw);
-    EXPECT_TRUE(std::isfinite(serial.search.best_edp));
-}
-
-TEST(ReplayDiff, SingleProbeMatchesPlainDescentExactly)
-{
-    // probes == 1 must take the plain-step code path: identical
-    // traces to a default config.
-    std::vector<Layer> layers = {Layer::gemm("a", 64, 64, 64)};
-    DosaConfig plain;
-    plain.start_points = 2;
-    plain.steps_per_start = 16;
-    plain.round_every = 8;
-    plain.seed = 3;
-    DosaConfig probed = plain;
-    probed.line_search_probes = 1;
-    DosaResult a = dosaSearch(layers, plain);
-    DosaResult b = dosaSearch(layers, probed);
-    EXPECT_EQ(a.search.trace, b.search.trace);
-    EXPECT_EQ(a.search.best_edp, b.search.best_edp);
-}
-
 // ---- The scorer seam stays deterministic across jobs for the three
 // ---- baseline searchers now routed through scoreDesigns. ----------
 
 TEST(ReplayDiff, ScoredSearchersSerialEqualParallel)
 {
-    std::vector<Layer> layers = {Layer::gemm("a", 64, 64, 128)};
     SurrogateDataset ds = generateSurrogateDataset(16, 9);
     LatencyPredictor pred = LatencyPredictor::trainCombined(ds, 2, 9);
 
-    RandomSearchConfig rcfg;
-    rcfg.hw_designs = 3;
-    rcfg.mappings_per_hw = 12;
-    rcfg.seed = 3;
-    rcfg.scorer = pred.scorer();
-    rcfg.jobs = 1;
-    SearchResult r1 = randomSearch(layers, rcfg);
-    rcfg.jobs = 4;
-    SearchResult r4 = randomSearch(layers, rcfg);
-    EXPECT_EQ(r1.trace, r4.trace);
-    EXPECT_EQ(r1.best_edp, r4.best_edp);
+    auto scored = [&](const char *algorithm, uint64_t seed) {
+        SearchSpec spec;
+        spec.algorithm = algorithm;
+        spec.workload = {Layer::gemm("a", 64, 64, 128)};
+        spec.seed = seed;
+        spec.scorer = pred.scorer();
+        return spec;
+    };
+    SearchSpec random = scored("random", 3);
+    random.options.set("hw_designs", 3).set("mappings_per_hw", 12);
+    SearchSpec mapper = scored("mapper", 17);
+    mapper.options.set("samples", 16);
+    SearchSpec bayesopt = scored("bayesopt", 21);
+    bayesopt.options.set("warmup_samples", 4)
+            .set("total_samples", 10)
+            .set("hw_candidates", 2)
+            .set("map_candidates", 3);
+    SearchSpec dosa = scored("dosa", 7);
+    dosa.options.set("start_points", 2)
+            .set("steps_per_start", 12)
+            .set("round_every", 6);
 
-    HardwareConfig hw;
-    SearchResult m1 = randomMapperSearch(layers, hw, 16, 17, 1,
-            pred.scorer());
-    SearchResult m4 = randomMapperSearch(layers, hw, 16, 17, 4,
-            pred.scorer());
-    EXPECT_EQ(m1.trace, m4.trace);
-    EXPECT_EQ(m1.best_edp, m4.best_edp);
-
-    BayesOptConfig bcfg;
-    bcfg.warmup_samples = 4;
-    bcfg.total_samples = 10;
-    bcfg.hw_candidates = 2;
-    bcfg.map_candidates = 3;
-    bcfg.seed = 21;
-    bcfg.scorer = pred.scorer();
-    bcfg.jobs = 1;
-    SearchResult b1 = bayesOptSearch(layers, bcfg);
-    bcfg.jobs = 4;
-    SearchResult b4 = bayesOptSearch(layers, bcfg);
-    EXPECT_EQ(b1.trace, b4.trace);
-    EXPECT_EQ(b1.best_edp, b4.best_edp);
-
-    DosaConfig dcfg;
-    dcfg.start_points = 2;
-    dcfg.steps_per_start = 12;
-    dcfg.round_every = 6;
-    dcfg.seed = 7;
-    dcfg.score_latency = pred.scorer();
-    dcfg.jobs = 1;
-    DosaResult d1 = dosaSearch(layers, dcfg);
-    dcfg.jobs = 4;
-    DosaResult d4 = dosaSearch(layers, dcfg);
-    EXPECT_EQ(d1.search.trace, d4.search.trace);
-    EXPECT_EQ(d1.search.best_edp, d4.search.best_edp);
+    for (SearchSpec spec : {random, mapper, bayesopt, dosa}) {
+        spec.jobs = 1;
+        SearchReport serial = runSearch(spec);
+        spec.jobs = 4;
+        SearchReport parallel = runSearch(spec);
+        EXPECT_EQ(serial.search.trace, parallel.search.trace)
+                << spec.algorithm;
+        EXPECT_EQ(serial.search.best_edp, parallel.search.best_edp)
+                << spec.algorithm;
+    }
 }
 
 } // namespace

@@ -7,11 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/search_api.hh"
 #include "arch/baselines.hh"
 #include "model/reference.hh"
-#include "search/bayes_opt.hh"
 #include "search/cosa_mapper.hh"
-#include "search/random_search.hh"
 #include "search/search_common.hh"
 #include "workload/model_zoo.hh"
 
@@ -158,11 +157,12 @@ TEST(CosaMapper, UsesSpatialArray)
 TEST(RandomSearch, TraceLengthAndImprovement)
 {
     Network net = unet();
-    RandomSearchConfig cfg;
-    cfg.hw_designs = 2;
-    cfg.mappings_per_hw = 20;
-    cfg.seed = 5;
-    SearchResult r = randomSearch(net.layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "random";
+    spec.workload = net.layers;
+    spec.options.set("hw_designs", 2).set("mappings_per_hw", 20);
+    spec.seed = 5;
+    SearchResult r = runSearch(spec).search;
     EXPECT_EQ(r.trace.size(), 40u);
     EXPECT_LT(r.best_edp, std::numeric_limits<double>::infinity());
     EXPECT_EQ(r.best_mappings.size(), net.layers.size());
@@ -177,13 +177,13 @@ TEST(RandomSearch, TraceLengthAndImprovement)
 
 TEST(RandomSearch, DeterministicInSeed)
 {
-    Network net = bertBase();
-    RandomSearchConfig cfg;
-    cfg.hw_designs = 1;
-    cfg.mappings_per_hw = 10;
-    cfg.seed = 77;
-    SearchResult a = randomSearch(net.layers, cfg);
-    SearchResult b = randomSearch(net.layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "random";
+    spec.workload = bertBase().layers;
+    spec.options.set("hw_designs", 1).set("mappings_per_hw", 10);
+    spec.seed = 77;
+    SearchResult a = runSearch(spec).search;
+    SearchResult b = runSearch(spec).search;
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_DOUBLE_EQ(a.best_edp, b.best_edp);
 }
@@ -192,7 +192,13 @@ TEST(RandomMapperSearch, FixedHardwareOnly)
 {
     HardwareConfig hw = gemminiDefault().config;
     Network net = bertBase();
-    SearchResult r = randomMapperSearch(net.layers, hw, 15, 3);
+    SearchSpec spec;
+    spec.algorithm = "mapper";
+    spec.workload = net.layers;
+    spec.fixed_hw = hw;
+    spec.options.set("samples", 15);
+    spec.seed = 3;
+    SearchResult r = runSearch(spec).search;
     EXPECT_EQ(r.trace.size(), 15u);
     EXPECT_EQ(r.best_hw, hw);
     NetworkEval ev = referenceNetworkEval(net.layers, r.best_mappings,
@@ -203,14 +209,16 @@ TEST(RandomMapperSearch, FixedHardwareOnly)
 TEST(BayesOpt, RunsAndRespectsBudget)
 {
     Network net = bertBase();
-    BayesOptConfig cfg;
-    cfg.warmup_samples = 8;
-    cfg.total_samples = 16;
-    cfg.hw_candidates = 3;
-    cfg.map_candidates = 5;
-    cfg.refit_every = 4;
-    cfg.seed = 11;
-    SearchResult r = bayesOptSearch(net.layers, cfg);
+    SearchSpec spec;
+    spec.algorithm = "bayesopt";
+    spec.workload = net.layers;
+    spec.options.set("warmup_samples", 8)
+            .set("total_samples", 16)
+            .set("hw_candidates", 3)
+            .set("map_candidates", 5)
+            .set("refit_every", 4);
+    spec.seed = 11;
+    SearchResult r = runSearch(spec).search;
     EXPECT_EQ(r.trace.size(), 16u);
     EXPECT_LT(r.best_edp, std::numeric_limits<double>::infinity());
     NetworkEval ev = referenceNetworkEval(net.layers, r.best_mappings,
@@ -220,15 +228,17 @@ TEST(BayesOpt, RunsAndRespectsBudget)
 
 TEST(BayesOpt, GuidedPhaseNoWorseThanWarmupBest)
 {
-    Network net = unet();
-    BayesOptConfig cfg;
-    cfg.warmup_samples = 10;
-    cfg.total_samples = 25;
-    cfg.hw_candidates = 4;
-    cfg.map_candidates = 6;
-    cfg.seed = 19;
-    SearchResult r = bayesOptSearch(net.layers, cfg);
-    double warmup_best = r.trace[size_t(cfg.warmup_samples) - 1];
+    const int warmup = 10;
+    SearchSpec spec;
+    spec.algorithm = "bayesopt";
+    spec.workload = unet().layers;
+    spec.options.set("warmup_samples", warmup)
+            .set("total_samples", 25)
+            .set("hw_candidates", 4)
+            .set("map_candidates", 6);
+    spec.seed = 19;
+    SearchResult r = runSearch(spec).search;
+    double warmup_best = r.trace[size_t(warmup) - 1];
     EXPECT_LE(r.best_edp, warmup_best);
 }
 

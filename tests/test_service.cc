@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -24,6 +23,7 @@
 
 #include "api/search_api.hh"
 #include "api/spec_json.hh"
+#include "golden.hh"
 #include "service/search_service.hh"
 #include "service/service_bus.hh"
 #include "service/tcp_server.hh"
@@ -40,109 +40,6 @@ using service::Request;
 using service::SearchService;
 using service::ServiceBus;
 using service::ServiceConfig;
-
-/** The canonical two-layer workload of the golden-trace fixtures. */
-std::vector<Layer>
-goldenLayers()
-{
-    return {
-        Layer::gemm("a", 128, 64, 256),
-        Layer::conv("b", 3, 16, 32, 64),
-    };
-}
-
-// ---- The facade specs equivalent to the golden fixture configs
-//      (mirrors test_api.cc; the service must reproduce them).
-
-SearchSpec
-goldenDosaSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "dosa";
-    spec.workload = goldenLayers();
-    spec.seed = 5;
-    spec.options.set("start_points", 3)
-            .set("steps_per_start", 30)
-            .set("round_every", 15);
-    return spec;
-}
-
-SearchSpec
-goldenRandomSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "random";
-    spec.workload = goldenLayers();
-    spec.seed = 3;
-    spec.options.set("hw_designs", 4).set("mappings_per_hw", 30);
-    return spec;
-}
-
-SearchSpec
-goldenMapperSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "mapper";
-    spec.workload = goldenLayers();
-    spec.seed = 17;
-    spec.options.set("samples", 40);
-    return spec;
-}
-
-SearchSpec
-goldenBayesOptSpec()
-{
-    SearchSpec spec;
-    spec.algorithm = "bayesopt";
-    spec.workload = goldenLayers();
-    spec.seed = 21;
-    spec.options.set("warmup_samples", 6)
-            .set("total_samples", 14)
-            .set("hw_candidates", 3)
-            .set("map_candidates", 4);
-    return spec;
-}
-
-std::vector<SearchSpec>
-goldenSpecs()
-{
-    return {goldenDosaSpec(), goldenRandomSpec(), goldenMapperSpec(),
-            goldenBayesOptSpec()};
-}
-
-/** Minimal reader of the tests/golden/ fixture format. */
-struct Golden
-{
-    std::vector<double> trace;
-    double best_edp = 0.0;
-    long long pe_dim = 0, accum_kib = 0, spad_kib = 0;
-};
-
-void
-readGolden(const std::string &name, Golden &g)
-{
-    const std::string path =
-            std::string(DOSA_SOURCE_DIR) + "/tests/golden/" + name +
-            ".trace";
-    FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr) << "missing fixture " << path;
-    char line[256];
-    size_t n = 0;
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr); // comment
-    ASSERT_EQ(std::fscanf(f, "trace %zu\n", &n), 1);
-    g.trace.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-        g.trace[i] = std::strtod(line, nullptr);
-    }
-    ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-    g.best_edp =
-            std::strtod(line + std::strlen("best_edp "), nullptr);
-    ASSERT_EQ(std::fscanf(f, "best_hw %lld %lld %lld", &g.pe_dim,
-                      &g.accum_kib, &g.spad_kib),
-            3);
-    std::fclose(f);
-}
 
 /**
  * Observer producing exactly the frames the service's streaming
@@ -315,13 +212,13 @@ randomSpec(Rng &rng)
             axis->weight = exotic[rng.uniformInt(0, 3)];
         }
     const Searcher *searcher = Search::find(spec.algorithm);
-    for (std::string_view key : searcher->optionKeys())
+    for (const SearcherOption &option : searcher->options())
         if (rng.bernoulli(0.6)) {
             // Exotic magnitudes: tiny, huge, negative, denormal.
             double exotic[] = {rng.uniformReal(0.0, 100.0),
                     rng.uniformReal(-1e300, 1e300), 4.9e-324,
                     1.0 / 3.0};
-            spec.options.set(std::string(key),
+            spec.options.set(std::string(option.key),
                     exotic[rng.uniformInt(0, 3)]);
         }
     spec.fixed_hw.pe_dim = rng.uniformInt(1, 64);
@@ -710,12 +607,30 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     EXPECT_EQ(f.code, service::errc::bad_spec);
     EXPECT_NE(f.message.find("samples"), std::string::npos);
 
+    // A value inside int that would divide by zero in the descent
+    // schedule -> bad_spec, and the daemon keeps serving.
+    SearchSpec bad_modulus = goldenDosaSpec();
+    bad_modulus.options.set("round_every", 0);
+    client.send(service::encodeSearchRequest("b4", bad_modulus));
+    f = terminalFrame(collectStream(client));
+    EXPECT_EQ(f.id, "b4");
+    EXPECT_EQ(f.code, service::errc::bad_spec);
+    EXPECT_NE(f.message.find("option \"round_every\""),
+            std::string::npos)
+            << f.message;
+    client.send(service::encodeSearchRequest("ok", goldenMapperSpec()));
+    f = terminalFrame(collectStream(client));
+    EXPECT_EQ(f.kind, Frame::Kind::Done);
+    EXPECT_EQ(f.id, "ok");
+
+    // The done frame goes out before the worker accounts the request.
+    svc.drain();
     std::vector<service::EndpointStats> stats = svc.stats();
     ASSERT_EQ(stats.size(), 4u);
     EXPECT_EQ(stats[0].requests, 1u); // _protocol
     EXPECT_EQ(stats[0].errors, 1u);
-    EXPECT_EQ(stats[2].requests, 3u); // search
-    EXPECT_EQ(stats[2].errors, 3u);
+    EXPECT_EQ(stats[2].requests, 5u); // search
+    EXPECT_EQ(stats[2].errors, 4u);
     EXPECT_FALSE(stats[2].last_error.empty());
 }
 
