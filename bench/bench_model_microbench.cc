@@ -135,63 +135,6 @@ BM_GradientStepReplaySoftmax(benchmark::State &state)
 }
 BENCHMARK(BM_GradientStepReplaySoftmax);
 
-/**
- * Batched multi-candidate gradient sweep: value + differentiate
- * `range(1)` descent candidates of a `range(0)`-layer objective in a
- * single lane-blocked `Tape::replayBatch` + `gradientBatchInto`
- * sweep. Compare against BM_ReplayBatchScalarRef (the same
- * candidates through per-candidate scalar replays) for the batch-
- * interpreter speedup.
- */
-void
-BM_ReplayBatch(benchmark::State &state)
-{
-    Network net = resnet50();
-    std::vector<Layer> layers(net.layers.begin(),
-            net.layers.begin() + size_t(state.range(0)));
-    std::vector<OrderVec> orders(layers.size(),
-            uniformOrder(LoopOrder::WS));
-    auto xs = bench::descentCandidates(layers,
-            size_t(state.range(1)));
-    ObjectiveMode mode;
-    ObjectiveEngine engine;
-    for (auto _ : state) {
-        const std::vector<ObjectiveEval> &evs = engine.evalBatch(
-                layers, xs, orders, OrderStrategy::Fixed, mode);
-        benchmark::DoNotOptimize(evs.data());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(1));
-}
-BENCHMARK(BM_ReplayBatch)
-        ->Args({1, 8})->Args({8, 4})->Args({8, 8})->Args({8, 16})
-        ->Args({24, 8});
-
-/** Scalar reference for BM_ReplayBatch: one replay per candidate. */
-void
-BM_ReplayBatchScalarRef(benchmark::State &state)
-{
-    Network net = resnet50();
-    std::vector<Layer> layers(net.layers.begin(),
-            net.layers.begin() + size_t(state.range(0)));
-    std::vector<OrderVec> orders(layers.size(),
-            uniformOrder(LoopOrder::WS));
-    auto xs = bench::descentCandidates(layers,
-            size_t(state.range(1)));
-    ObjectiveMode mode;
-    ObjectiveEngine engine;
-    for (auto _ : state) {
-        for (const std::vector<double> &x : xs) {
-            const ObjectiveEval &ev = engine.eval(layers, x, orders,
-                    OrderStrategy::Fixed, mode);
-            benchmark::DoNotOptimize(ev.loss);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(1));
-}
-BENCHMARK(BM_ReplayBatchScalarRef)
-        ->Args({1, 8})->Args({8, 4})->Args({8, 8})->Args({8, 16})
-        ->Args({24, 8});
-
 void
 BM_ObjectiveGradientSoftmax(benchmark::State &state)
 {

@@ -49,7 +49,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "obs/trajectory.hh"
-#include "search/cosa_mapper.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -256,29 +255,6 @@ inline void
 note(const std::string &text)
 {
     std::printf("%s\n", text.c_str());
-}
-
-/**
- * Perturbed descent candidates around the CoSA start of `layers`:
- * the shared input set of the batch-replay benchmarks, so
- * `bench_replay_batch` and `BM_ReplayBatch` (bench_model_microbench)
- * cross-check each other on identical candidates.
- */
-inline std::vector<std::vector<double>>
-descentCandidates(const std::vector<Layer> &layers, size_t count)
-{
-    const HardwareConfig hw{16, 32, 128};
-    std::vector<double> x0;
-    for (const Layer &l : layers) {
-        auto xl = packMapping(cosaMap(l, hw));
-        x0.insert(x0.end(), xl.begin(), xl.end());
-    }
-    Rng rng(99);
-    std::vector<std::vector<double>> xs(count, x0);
-    for (size_t k = 1; k < count; ++k)
-        for (double &v : xs[k])
-            v += rng.uniformReal(-0.1, 0.1);
-    return xs;
 }
 
 /** Monotonic wall-clock timer for the perf summaries. */

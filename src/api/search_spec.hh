@@ -161,9 +161,9 @@ struct SearchSpec
     int jobs = 1;
 
     /**
-     * Optional concrete-design latency scorer; every searcher routes
-     * per-design latency queries through its batched `scoreDesigns`
-     * seam. Empty = reference-model latency.
+     * Optional concrete-design latency scorer; every searcher calls
+     * it once per (layer, mapping) it scores. Empty =
+     * reference-model latency.
      */
     LatencyScorer scorer;
 

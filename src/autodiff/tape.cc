@@ -1,68 +1,15 @@
 /**
  * @file
- * Arena tape: SoA node storage, the fused replay interpreter (scalar
- * and lane-blocked batch variants) and the backward gradient sweeps.
+ * Arena tape: SoA node storage, the fused replay interpreter and the
+ * backward gradient sweep.
  */
 #include "autodiff/tape.hh"
 
 #include <cmath>
 
-#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace dosa::ad {
-
-namespace {
-
-/**
- * True when an op's local partials depend on operand values and must
- * be recomputed per lane; the partials of every other op are
- * build-time constants shared across lanes (read from the scalar
- * derivative word).
- */
-constexpr bool
-dynamicPartials(Op op)
-{
-    switch (op) {
-      case Op::Mul:
-      case Op::Div:
-      case Op::CDiv:
-      case Op::Log:
-      case Op::Exp:
-      case Op::Sqrt:
-      case Op::Pow:
-      case Op::Max:
-      case Op::MaxCL:
-      case Op::MaxCR:
-      case Op::Min:
-      case Op::MinCL:
-      case Op::MinCR:
-      case Op::Relu:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/**
- * Apply f(lane) over `lanes` lanes in fixed-width blocks of
- * Tape::kLaneWidth (known trip count: unrolled/vectorized) with a
- * scalar tail for the remainder.
- */
-template <class F>
-inline void
-forEachLane(size_t lanes, F &&f)
-{
-    constexpr size_t W = Tape::kLaneWidth;
-    size_t l = 0;
-    for (; l + W <= lanes; l += W)
-        for (size_t j = 0; j < W; ++j)
-            f(l + j);
-    for (; l < lanes; ++l)
-        f(l);
-}
-
-} // namespace
 
 NodeId
 Tape::addLeaf(double value)
@@ -244,258 +191,12 @@ Tape::gradient(NodeId output) const
 }
 
 void
-Tape::replayBatch(std::span<const double> leaf_sets,
-                  std::span<const NodeId> outputs, std::span<double> out)
-{
-    const size_t num_leaves = leaves_.size();
-    if (leaf_sets.empty() || num_leaves == 0)
-        panic("Tape::replayBatch: zero-width batch");
-    if (leaf_sets.size() % num_leaves != 0)
-        panic("Tape::replayBatch: leaf set size mismatch");
-    const size_t L = leaf_sets.size() / num_leaves;
-    if (out.size() < L * outputs.size())
-        panic("Tape::replayBatch: output span too small");
-    const size_t n = values_.size();
-    obs::TraceSpan span("tape.replayBatch", "autodiff",
-                        static_cast<int64_t>(L),
-                        static_cast<int64_t>(n));
-    batch_lanes_ = L;
-    batch_v_.resize(n * L);
-    batch_w0_.resize(n * L);
-    batch_w1_.resize(n * L);
-
-    const NodeIn *in = in_.data();
-    const NodeW *w = w_.data();
-    double *bv = batch_v_.data();
-    double *bw0 = batch_w0_.data();
-    double *bw1 = batch_w1_.data();
-    const double *xs = leaf_sets.data();
-    size_t leaf = 0;
-
-    // One decode per op serves every lane. Each lane body uses the
-    // exact expressions of the scalar replay (and re-selects its own
-    // branches), so lane b is bitwise-identical to replay(leaf_set_b).
-    for (size_t i = 0; i < n; ++i) {
-        const double *a = in[i].p0 >= 0 ? bv + size_t(in[i].p0) * L
-                                        : nullptr;
-        const double *b = in[i].p1 >= 0 ? bv + size_t(in[i].p1) * L
-                                        : nullptr;
-        double *v = bv + i * L;
-        double *w0 = bw0 + i * L;
-        double *w1 = bw1 + i * L;
-        const double aux = w[i].aux;
-        switch (in[i].op) {
-          case Op::Leaf: {
-            const double *x = xs + leaf++;
-            forEachLane(L, [&](size_t l) {
-                v[l] = x[l * num_leaves];
-            });
-            break;
-          }
-          case Op::Neg:
-            forEachLane(L, [&](size_t l) { v[l] = -a[l]; });
-            break;
-          case Op::Add:
-            forEachLane(L, [&](size_t l) { v[l] = a[l] + b[l]; });
-            break;
-          case Op::AddC:
-            forEachLane(L, [&](size_t l) { v[l] = a[l] + aux; });
-            break;
-          case Op::Sub:
-            forEachLane(L, [&](size_t l) { v[l] = a[l] - b[l]; });
-            break;
-          case Op::SubC:
-            forEachLane(L, [&](size_t l) { v[l] = a[l] - aux; });
-            break;
-          case Op::CSub:
-            forEachLane(L, [&](size_t l) { v[l] = aux - a[l]; });
-            break;
-          case Op::Mul:
-            forEachLane(L, [&](size_t l) {
-                const double bb = b[l];
-                v[l] = a[l] * bb;
-                w0[l] = bb;
-                w1[l] = a[l];
-            });
-            break;
-          case Op::MulC:
-            forEachLane(L, [&](size_t l) { v[l] = a[l] * aux; });
-            break;
-          case Op::Div:
-            forEachLane(L, [&](size_t l) {
-                const double bb = b[l];
-                v[l] = a[l] / bb;
-                w0[l] = 1.0 / bb;
-                w1[l] = -a[l] / (bb * bb);
-            });
-            break;
-          case Op::DivC:
-            forEachLane(L, [&](size_t l) { v[l] = a[l] / aux; });
-            break;
-          case Op::CDiv:
-            forEachLane(L, [&](size_t l) {
-                v[l] = aux / a[l];
-                w0[l] = -aux / (a[l] * a[l]);
-            });
-            break;
-          case Op::Log:
-            forEachLane(L, [&](size_t l) {
-                v[l] = std::log(a[l]);
-                w0[l] = 1.0 / a[l];
-            });
-            break;
-          case Op::Exp:
-            forEachLane(L, [&](size_t l) {
-                v[l] = std::exp(a[l]);
-                w0[l] = v[l];
-            });
-            break;
-          case Op::Sqrt:
-            forEachLane(L, [&](size_t l) {
-                v[l] = std::sqrt(a[l]);
-                w0[l] = 0.5 / v[l];
-            });
-            break;
-          case Op::Pow:
-            forEachLane(L, [&](size_t l) {
-                v[l] = std::pow(a[l], aux);
-                w0[l] = aux * std::pow(a[l], aux - 1.0);
-            });
-            break;
-          case Op::Max:
-            forEachLane(L, [&](size_t l) {
-                const bool first = a[l] >= b[l];
-                v[l] = first ? a[l] : b[l];
-                w0[l] = first ? 1.0 : 0.0;
-                w1[l] = first ? 0.0 : 1.0;
-            });
-            break;
-          case Op::MaxCL:
-            forEachLane(L, [&](size_t l) {
-                const bool cwins = aux >= a[l];
-                v[l] = cwins ? aux : a[l];
-                w0[l] = cwins ? 0.0 : 1.0;
-            });
-            break;
-          case Op::MaxCR:
-            forEachLane(L, [&](size_t l) {
-                const bool pwins = a[l] >= aux;
-                v[l] = pwins ? a[l] : aux;
-                w0[l] = pwins ? 1.0 : 0.0;
-            });
-            break;
-          case Op::Min:
-            forEachLane(L, [&](size_t l) {
-                const bool first = a[l] <= b[l];
-                v[l] = first ? a[l] : b[l];
-                w0[l] = first ? 1.0 : 0.0;
-                w1[l] = first ? 0.0 : 1.0;
-            });
-            break;
-          case Op::MinCL:
-            forEachLane(L, [&](size_t l) {
-                const bool cwins = aux <= a[l];
-                v[l] = cwins ? aux : a[l];
-                w0[l] = cwins ? 0.0 : 1.0;
-            });
-            break;
-          case Op::MinCR:
-            forEachLane(L, [&](size_t l) {
-                const bool pwins = a[l] <= aux;
-                v[l] = pwins ? a[l] : aux;
-                w0[l] = pwins ? 1.0 : 0.0;
-            });
-            break;
-          case Op::Relu:
-            forEachLane(L, [&](size_t l) {
-                const bool on = a[l] > 0.0;
-                v[l] = on ? a[l] : 0.0;
-                w0[l] = on ? 1.0 : 0.0;
-            });
-            break;
-        }
-    }
-
-    for (size_t j = 0; j < outputs.size(); ++j) {
-        const NodeId id = outputs[j];
-        if (id < 0 || static_cast<size_t>(id) >= n)
-            panic("Tape::replayBatch: output id out of range");
-        const double *v = bv + size_t(id) * L;
-        for (size_t l = 0; l < L; ++l)
-            out[l * outputs.size() + j] = v[l];
-    }
-}
-
-void
-Tape::gradientBatchInto(NodeId output, std::vector<double> &adj) const
-{
-    const size_t L = batch_lanes_;
-    if (L == 0)
-        panic("Tape::gradientBatchInto: no batch state "
-              "(call replayBatch first)");
-    if (output < 0 || static_cast<size_t>(output) >= values_.size())
-        panic("Tape::gradientBatchInto: output id out of range");
-    const size_t n = values_.size();
-    adj.assign(n * L, 0.0);
-    double *a = adj.data();
-    const NodeIn *in = in_.data();
-    const NodeW *w = w_.data();
-    const double *bw0 = batch_w0_.data();
-    const double *bw1 = batch_w1_.data();
-    for (size_t l = 0; l < L; ++l)
-        a[size_t(output) * L + l] = 1.0;
-    // Per lane this is exactly the scalar reverse sweep, including the
-    // zero-adjoint skip (adding a 0 * w product could flip -0.0
-    // adjoints or manufacture NaNs the scalar path never sees).
-    for (size_t ii = static_cast<size_t>(output) + 1; ii-- > 0;) {
-        const NodeId p0 = in[ii].p0;
-        const NodeId p1 = in[ii].p1;
-        if (p0 == kNoParent && p1 == kNoParent)
-            continue;
-        const double *g = a + ii * L;
-        double *a0 = p0 != kNoParent ? a + size_t(p0) * L : nullptr;
-        double *a1 = p1 != kNoParent ? a + size_t(p1) * L : nullptr;
-        if (dynamicPartials(in[ii].op)) {
-            const double *w0 = bw0 + ii * L;
-            const double *w1 = bw1 + ii * L;
-            forEachLane(L, [&](size_t l) {
-                const double gl = g[l];
-                if (gl == 0.0)
-                    return;
-                if (a0)
-                    a0[l] += gl * w0[l];
-                if (a1)
-                    a1[l] += gl * w1[l];
-            });
-        } else {
-            const double w0 = w[ii].w0;
-            const double w1 = w[ii].w1;
-            forEachLane(L, [&](size_t l) {
-                const double gl = g[l];
-                if (gl == 0.0)
-                    return;
-                if (a0)
-                    a0[l] += gl * w0;
-                if (a1)
-                    a1[l] += gl * w1;
-            });
-        }
-    }
-}
-
-void
 Tape::reset()
 {
     in_.clear();
     w_.clear();
     values_.clear();
     leaves_.clear();
-    // Lane buffers keep their capacity (arena reuse), but any resident
-    // batch state describes the dropped program.
-    batch_v_.clear();
-    batch_w0_.clear();
-    batch_w1_.clear();
-    batch_lanes_ = 0;
 }
 
 void

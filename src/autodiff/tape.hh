@@ -25,16 +25,9 @@
  *            adjoint buffer, so steady-state descent steps allocate
  *            nothing.
  *
- * On top of the scalar replay the tape offers a *batched* mode:
- * `replayBatch(leaf_sets, ...)` values N independent leaf assignments
- * (lanes) in one sweep over the program, and `gradientBatchInto()`
- * reverse-sweeps every lane against the same output node. Each op
- * processes its lanes in fixed-width blocks of `kLaneWidth` doubles
- * with a scalar tail, and data-dependent branches (max/min/relu, the
- * softmax shift) re-select independently per lane — lane b is
- * bitwise-identical to what `replay(leaf_set_b)` + `gradientInto()`
- * would produce. Batch state lives in separate lane buffers, so the
- * scalar values/partials of the last build or replay stay untouched.
+ * `replay` is the only interpreter: a caller that values several leaf
+ * assignments (`ObjectiveEngine::evalBatch`) replays once per
+ * assignment.
  *
  * `reset()` clears the tape without releasing capacity, making arena
  * reuse across descent steps free. A Tape is single-owner state: it may
@@ -151,59 +144,11 @@ class Tape
      */
     std::vector<double> gradient(NodeId output) const;
 
-    /** Lanes per fixed-width block of the batched interpreter. */
-    static constexpr size_t kLaneWidth = 4;
-
-    /**
-     * Batched fused forward re-valuation: one sweep over the recorded
-     * program valuing `leaf_sets.size() / numLeaves()` independent
-     * leaf assignments (lanes) at once. `leaf_sets` is lane-major:
-     * `leaf_sets[lane * numLeaves() + k]` is the value of the k-th
-     * leaf (addLeaf order) in `lane`. The values of `outputs` are
-     * gathered lane-major into `out`
-     * (`out[lane * outputs.size() + j]`), and the full per-lane state
-     * stays resident for `batchValue` / `gradientBatchInto`.
-     *
-     * Every lane re-selects its own max/min/relu branches; lane b is
-     * bitwise-identical to `replay(leaf_set_b)`. The scalar state of
-     * the last build/replay is not disturbed. Panics on an empty
-     * batch, a `leaf_sets` size that is not a multiple of
-     * `numLeaves()`, or an `out` span smaller than
-     * lanes * outputs.size().
-     */
-    void replayBatch(std::span<const double> leaf_sets,
-                     std::span<const NodeId> outputs,
-                     std::span<double> out);
-
-    /** Lanes valued by the last replayBatch (0 = no batch state). */
-    size_t batchLanes() const { return batch_lanes_; }
-
-    /** Value of a node in one lane of the last replayBatch. */
-    double
-    batchValue(NodeId id, size_t lane) const
-    {
-        return batch_v_[size_t(id) * batch_lanes_ + lane];
-    }
-
-    /**
-     * Batched reverse sweep from `output` over every lane of the last
-     * replayBatch, into a caller-owned buffer resized to
-     * size() * batchLanes(), node-major:
-     * `adj[node * batchLanes() + lane]` = d output / d node in that
-     * lane. Lane b is bitwise-identical to the `gradientInto` result
-     * after `replay(leaf_set_b)`. Panics when no batch state is
-     * resident or `output` is out of range.
-     */
-    void gradientBatchInto(NodeId output, std::vector<double> &adj) const;
-
     /**
      * Drop all nodes without releasing capacity (arena reuse);
      * invalidates outstanding NodeIds.
      */
     void reset();
-
-    /** Alias of reset(), kept for existing callers. */
-    void clear() { reset(); }
 
     /**
      * Reserve capacity for roughly `n` nodes (perf hint for the
@@ -236,17 +181,6 @@ class Tape
     std::vector<double> values_;
     /** Leaf NodeIds in insertion order (replay input layout). */
     std::vector<NodeId> leaves_;
-
-    // Batched-replay lane state, node-major with stride batch_lanes_.
-    // batch_w0_/batch_w1_ hold per-lane partials only for ops whose
-    // partials depend on values (mul/div/transcendentals/branches);
-    // value-independent partials are read from w_ and shared by every
-    // lane. Separate from the scalar arrays so a batch sweep never
-    // invalidates the last scalar replay.
-    std::vector<double> batch_v_;
-    std::vector<double> batch_w0_;
-    std::vector<double> batch_w1_;
-    size_t batch_lanes_ = 0;
 };
 
 } // namespace dosa::ad

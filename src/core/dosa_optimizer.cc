@@ -112,18 +112,13 @@ scoreDesign(const std::vector<Layer> &layers,
             const std::vector<Mapping> &mappings,
             const HardwareConfig &hw, const LatencyScorer &scorer)
 {
-    const size_t n = layers.size();
-    // Latency goes through the batched seam so amortizing backends
-    // see the whole network at once; energy always comes from the
-    // reference model.
-    std::vector<double> lats(n, 0.0);
-    if (scorer)
-        scorer.scoreDesigns(makeLayerQueries(layers, mappings, hw),
-                lats);
+    // Energy always comes from the reference model; latency from the
+    // scorer when one is installed.
     NetworkEval out;
-    for (size_t li = 0; li < n; ++li) {
+    for (size_t li = 0; li < layers.size(); ++li) {
         RefEval ev = referenceEval(layers[li], mappings[li], hw);
-        double lat = scorer ? lats[li] : ev.latency;
+        double lat = scorer ? scorer(layers[li], mappings[li], hw)
+                            : ev.latency;
         double cnt = static_cast<double>(layers[li].count);
         out.energy_uj += cnt * ev.energy_uj;
         out.latency += cnt * lat;
@@ -140,32 +135,14 @@ selectOrders(const std::vector<Layer> &layers,
 {
     const size_t n = layers.size();
     // Per-layer (energy, latency) for each of the 3 uniform orderings.
-    // The 3n re-ordered variants are materialized up front so custom
-    // scorers see them as one scoreDesigns batch.
-    std::vector<Mapping> variants(n * size_t(kNumOrders));
-    for (size_t li = 0; li < n; ++li) {
-        for (int o = 0; o < kNumOrders; ++o) {
-            Mapping &m = variants[li * size_t(kNumOrders) + size_t(o)];
-            m = mappings[li];
-            m.order = uniformOrder(static_cast<LoopOrder>(o));
-        }
-    }
-    std::vector<double> lats(variants.size(), 0.0);
-    if (scorer) {
-        std::vector<LatencyQuery> queries(variants.size());
-        for (size_t li = 0; li < n; ++li)
-            for (int o = 0; o < kNumOrders; ++o) {
-                size_t i = li * size_t(kNumOrders) + size_t(o);
-                queries[i] = {&layers[li], &variants[i], &hw};
-            }
-        scorer.scoreDesigns(queries, lats);
-    }
     std::vector<std::array<double, kNumOrders>> energy(n), latency(n);
     for (size_t li = 0; li < n; ++li) {
+        Mapping variant = mappings[li];
         for (int o = 0; o < kNumOrders; ++o) {
-            size_t i = li * size_t(kNumOrders) + size_t(o);
-            RefEval ev = referenceEval(layers[li], variants[i], hw);
-            double lat = scorer ? lats[i] : ev.latency;
+            variant.order = uniformOrder(static_cast<LoopOrder>(o));
+            RefEval ev = referenceEval(layers[li], variant, hw);
+            double lat = scorer ? scorer(layers[li], variant, hw)
+                                : ev.latency;
             double cnt = static_cast<double>(layers[li].count);
             energy[li][size_t(o)] = cnt * ev.energy_uj;
             latency[li][size_t(o)] = cnt * lat;
@@ -291,8 +268,9 @@ struct StartOutcome
 /**
  * Generate one start attempt, drawing from the start's own stream.
  * `model_edp` is left unset: every attempt of a start shares the same
- * objective shape, so the caller scores all of them in one
- * ObjectiveEngine::evalBatch lane sweep after generation.
+ * objective shape, so the caller scores all of them with one
+ * ObjectiveEngine::evalBatch (one build, then replays) after
+ * generation.
  */
 StartCandidate
 makeStartCandidate(const std::vector<Layer> &layers,
@@ -505,8 +483,8 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
             xs.push_back(a.back().x);
         }
         // All attempts share one objective shape (WS orders, Fixed
-        // strategy): one build + one lane-blocked batch sweep scores
-        // every attempt's model EDP.
+        // strategy): one build plus a replay per further attempt
+        // scores every attempt's model EDP.
         ObjectiveEngine engine; // per-task arena
         const std::vector<ObjectiveEval> &evs = engine.evalBatch(
                 layers, xs, a[0].orders, OrderStrategy::Fixed,

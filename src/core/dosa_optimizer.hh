@@ -23,8 +23,9 @@
 
 namespace dosa {
 
-// LatencyScorer (the point + batched concrete-design scoring seam)
-// lives in core/objective.hh next to the differentiable objective.
+// LatencyScorer (the concrete-design point scorer; empty = reference
+// latency) lives in core/objective.hh next to the differentiable
+// objective.
 
 /** DOSA run configuration (defaults follow Section 6.1). */
 struct DosaConfig

@@ -13,7 +13,6 @@
 #include "arch/area_model.hh"
 #include "autodiff/var.hh"
 #include "model/analytical.hh"
-#include "model/reference.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 
@@ -31,33 +30,6 @@ strategyName(OrderStrategy s)
       case OrderStrategy::Softmax: return "Softmax";
     }
     return "?";
-}
-
-LatencyScorer
-LatencyScorer::batched(PointFn point, BatchFn batch)
-{
-    LatencyScorer s;
-    s.point_ = std::move(point);
-    s.batch_ = std::move(batch);
-    return s;
-}
-
-void
-LatencyScorer::scoreDesigns(std::span<const LatencyQuery> queries,
-                            std::span<double> out) const
-{
-    if (queries.size() != out.size())
-        panic("LatencyScorer::scoreDesigns: span size mismatch");
-    if (batch_) {
-        batch_(queries, out);
-        return;
-    }
-    for (size_t i = 0; i < queries.size(); ++i) {
-        const LatencyQuery &q = queries[i];
-        out[i] = point_ ? point_(*q.layer, *q.mapping, *q.hw)
-                        : referenceEval(*q.layer, *q.mapping, *q.hw)
-                                  .latency;
-    }
 }
 
 std::vector<double>
@@ -352,21 +324,15 @@ ObjectiveEngine::~ObjectiveEngine()
     // the lifetime totals here keeps the eval/replay hot paths free of
     // shared-counter traffic while the global registry still sees
     // every engine's work.
-    if (builds_ == 0 && replays_ == 0 && batch_sweeps_ == 0)
+    if (builds_ == 0 && replays_ == 0)
         return;
     static struct
     {
         obs::Counter &builds = obs::counter("objective.builds");
         obs::Counter &replays = obs::counter("objective.replays");
-        obs::Counter &batch_sweeps =
-            obs::counter("objective.batch_sweeps");
-        obs::Counter &batch_candidates =
-            obs::counter("objective.batch_candidates");
     } counters;
     counters.builds.add(builds_);
     counters.replays.add(replays_);
-    counters.batch_sweeps.add(batch_sweeps_);
-    counters.batch_candidates.add(batch_candidates_);
 }
 
 const ObjectiveEval &
@@ -404,55 +370,9 @@ ObjectiveEngine::evalBatch(const std::vector<Layer> &layers,
 {
     if (xs.empty())
         panic("evalBatch: empty candidate batch");
-    const size_t dim = layers.size() * kVarsPerLayer;
-    for (const std::vector<double> &x : xs)
-        if (x.size() != dim)
-            panic("evalBatch: variable vector size mismatch");
-    if (strategy != OrderStrategy::Softmax &&
-        orders.size() != layers.size())
-        panic("evalBatch: orders size mismatch");
-    if (!mode.layer_weights.empty() &&
-        mode.layer_weights.size() != layers.size())
-        panic("evalBatch: layer_weights size mismatch");
-
-    // One shared graph serves every candidate: the context fixes the
-    // shape, only leaf values differ per lane.
-    if (!contextMatches(layers, orders, strategy, mode)) {
-        build(layers, xs[0], orders, strategy, mode);
-        ++builds_;
-    }
-    const size_t lanes = xs.size();
-    batch_leaves_.resize(lanes * dim);
-    for (size_t k = 0; k < lanes; ++k)
-        std::copy(xs[k].begin(), xs[k].end(),
-                batch_leaves_.begin() + static_cast<long>(k * dim));
-    // 4 heads single-objective, +area +power in Pareto mode — the
-    // extra axes ride the same lane-blocked sweep for free.
-    const ad::NodeId heads[] = {loss_id_,    energy_id_, latency_id_,
-                                penalty_id_, area_id_,   power_id_};
-    const size_t kHeads = area_id_ == ad::kNoParent ? 4 : 6;
-    batch_heads_.resize(lanes * kHeads);
-    tape_.replayBatch(batch_leaves_,
-            std::span<const ad::NodeId>(heads, kHeads), batch_heads_);
-    tape_.gradientBatchInto(loss_id_, batch_adj_);
-    ++batch_sweeps_;
-    batch_candidates_ += lanes;
-
-    batch_out_.resize(lanes);
-    for (size_t k = 0; k < lanes; ++k) {
-        ObjectiveEval &ev = batch_out_[k];
-        ev.loss = batch_heads_[k * kHeads + 0];
-        ev.energy_uj = batch_heads_[k * kHeads + 1];
-        ev.latency = batch_heads_[k * kHeads + 2];
-        ev.penalty = batch_heads_[k * kHeads + 3];
-        ev.edp = ev.energy_uj * ev.latency;
-        ev.area_mm2 = kHeads > 4 ? batch_heads_[k * kHeads + 4] : 0.0;
-        ev.power_w = kHeads > 4 ? batch_heads_[k * kHeads + 5] : 0.0;
-        ev.grad.resize(dim);
-        for (size_t i = 0; i < dim; ++i)
-            ev.grad[i] =
-                    batch_adj_[size_t(tape_.leaf(i)) * lanes + k];
-    }
+    batch_out_.resize(xs.size());
+    for (size_t k = 0; k < xs.size(); ++k)
+        batch_out_[k] = eval(layers, xs[k], orders, strategy, mode);
     return batch_out_;
 }
 

@@ -30,95 +30,15 @@
 
 namespace dosa {
 
-/** One (layer, mapping, hardware) latency query for batched scoring. */
-struct LatencyQuery
-{
-    const Layer *layer = nullptr;
-    const Mapping *mapping = nullptr;
-    const HardwareConfig *hw = nullptr;
-};
-
-/**
- * One query per layer over parallel layer/mapping storage — the batch
- * every searcher hands to `LatencyScorer::scoreDesigns` when scoring
- * a whole design. The referenced containers must outlive the queries.
- */
-inline std::vector<LatencyQuery>
-makeLayerQueries(const std::vector<Layer> &layers,
-                 const std::vector<Mapping> &mappings,
-                 const HardwareConfig &hw)
-{
-    std::vector<LatencyQuery> queries(layers.size());
-    for (size_t li = 0; li < layers.size(); ++li)
-        queries[li] = {&layers[li], &mappings[li], &hw};
-    return queries;
-}
-
 /**
  * Concrete-design latency scorer used when ranking rounded mappings.
- * Empty means "reference-model latency". Fig. 12 passes a learned
- * predictor here so designs are selected by predicted performance.
- *
- * Beyond the point call, the class exposes the batched seam the
- * ROADMAP asks for: `scoreDesigns` scores a whole span of queries in
- * one call, so a SIMD/GPU/remote backend can amortize per-call
- * overhead (construct one with `batched()` to install a bulk
- * implementation; the default loops the point function). All searcher
- * scoring paths route through this seam.
+ * Empty means "reference-model latency"; every scoring site computes
+ * `scorer ? scorer(layer, mapping, hw) : referenceEval(...).latency`.
+ * Fig. 12 passes a learned predictor here so designs are selected by
+ * predicted performance.
  */
-class LatencyScorer
-{
-  public:
-    using PointFn = std::function<double(
-            const Layer &, const Mapping &, const HardwareConfig &)>;
-    using BatchFn = std::function<void(std::span<const LatencyQuery>,
-                                       std::span<double>)>;
-
-    /** Empty scorer: reference-model latency. */
-    LatencyScorer() = default;
-
-    /** Wrap a point function (implicit, keeps lambda call sites). */
-    LatencyScorer(PointFn point) : point_(std::move(point)) {}
-
-    /** Wrap a point function plus an amortized bulk implementation. */
-    static LatencyScorer batched(PointFn point, BatchFn batch);
-
-    /** True when a custom scorer (point or bulk) is installed. */
-    explicit operator bool() const
-    {
-        return static_cast<bool>(point_) || static_cast<bool>(batch_);
-    }
-
-    /**
-     * Score one design. Uses the point function when present, else a
-     * single-query bulk call (a batch-only backend stays usable from
-     * point call sites).
-     */
-    double
-    operator()(const Layer &l, const Mapping &m,
-               const HardwareConfig &hw) const
-    {
-        if (point_)
-            return point_(l, m, hw);
-        LatencyQuery q{&l, &m, &hw};
-        double out = 0.0;
-        batch_(std::span<const LatencyQuery>(&q, 1),
-                std::span<double>(&out, 1));
-        return out;
-    }
-
-    /**
-     * Score `queries.size()` designs into `out` (same length). Uses
-     * the bulk implementation when installed, the point function
-     * otherwise, and reference-model latency when empty.
-     */
-    void scoreDesigns(std::span<const LatencyQuery> queries,
-                      std::span<double> out) const;
-
-  private:
-    PointFn point_;
-    BatchFn batch_;
-};
+using LatencyScorer = std::function<double(
+        const Layer &, const Mapping &, const HardwareConfig &)>;
 
 /**
  * Pluggable differentiable latency model (Section 6.5): replaces or
@@ -307,7 +227,7 @@ class ObjectiveEngine
      *                 modes). Ignored by the Softmax strategy, which
      *                 blends the three uniform orderings (Eq 15-17).
      * @return a reference to engine-owned storage, valid until the
-     *         next eval() call.
+     *         next eval()/evalBatch() call.
      */
     const ObjectiveEval &eval(const std::vector<Layer> &layers,
                               const std::vector<double> &x,
@@ -316,11 +236,9 @@ class ObjectiveEngine
                               const ObjectiveMode &mode);
 
     /**
-     * Batched evaluation: value and differentiate every candidate in
-     * `xs` (same layout as eval's x) under one shared context with a
-     * single lane-blocked sweep over the tape (`Tape::replayBatch` +
-     * `gradientBatchInto`) instead of xs.size() scalar replays.
-     * Candidate k of the result is bitwise-identical to
+     * Evaluate every candidate in `xs` (same layout as eval's x)
+     * under one shared context: one eval() per candidate, so
+     * candidate k of the result is bitwise-identical to
      * eval(layers, xs[k], ...). Panics on an empty batch.
      *
      * @return a reference to engine-owned storage (one ObjectiveEval
@@ -338,12 +256,6 @@ class ObjectiveEngine
     /** Replay-path evaluations served so far. */
     uint64_t replays() const { return replays_; }
 
-    /** Batched sweeps served so far. */
-    uint64_t batchSweeps() const { return batch_sweeps_; }
-
-    /** Candidates served through batched sweeps so far. */
-    uint64_t batchCandidates() const { return batch_candidates_; }
-
   private:
     bool contextMatches(const std::vector<Layer> &layers,
                         const std::vector<OrderVec> &orders,
@@ -360,11 +272,7 @@ class ObjectiveEngine
     ad::Tape tape_;
     std::vector<double> adj_; ///< reused adjoint buffer
     ObjectiveEval out_;       ///< reused result (grad storage)
-    // Reused batch-path storage (evalBatch).
-    std::vector<double> batch_leaves_;    ///< lane-major leaf sets
-    std::vector<double> batch_heads_;     ///< gathered output values
-    std::vector<double> batch_adj_;       ///< node-major lane adjoints
-    std::vector<ObjectiveEval> batch_out_;
+    std::vector<ObjectiveEval> batch_out_; ///< reused evalBatch result
     ad::NodeId loss_id_ = ad::kNoParent;
     ad::NodeId energy_id_ = ad::kNoParent;
     ad::NodeId latency_id_ = ad::kNoParent;
@@ -381,8 +289,6 @@ class ObjectiveEngine
     ObjectiveMode mode_;
     uint64_t builds_ = 0;
     uint64_t replays_ = 0;
-    uint64_t batch_sweeps_ = 0;
-    uint64_t batch_candidates_ = 0;
 };
 
 /**

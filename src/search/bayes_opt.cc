@@ -63,16 +63,11 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
 
     auto evaluate_design = [&](const HardwareConfig &hw,
                                const std::vector<Mapping> &maps) {
-        // With a scorer installed, the design's per-layer latencies
-        // come from one batched scoreDesigns call.
-        std::vector<double> lats(layers.size(), 0.0);
-        if (cfg.scorer)
-            cfg.scorer.scoreDesigns(
-                    makeLayerQueries(layers, maps, hw), lats);
         double e = 0.0, l = 0.0;
         for (size_t li = 0; li < layers.size(); ++li) {
             RefEval ev = referenceEval(layers[li], maps[li], hw);
-            double lat = cfg.scorer ? lats[li] : ev.latency;
+            double lat = cfg.scorer ? cfg.scorer(layers[li], maps[li], hw)
+                                    : ev.latency;
             double cnt = static_cast<double>(layers[li].count);
             e += cnt * ev.energy_uj;
             l += cnt * lat;

@@ -39,9 +39,9 @@ struct BayesOptConfig
     int jobs = 1;
     /**
      * Optional predicted-latency scorer for the evaluated designs
-     * (and the GP's log-EDP training targets); each design's layer
-     * latencies go through the batched `scoreDesigns` seam as one
-     * call. Empty = reference-model latency (unchanged behavior).
+     * (and the GP's log-EDP training targets), called once per
+     * (layer, mapping). Empty = reference-model latency (unchanged
+     * behavior).
      */
     LatencyScorer scorer;
     /**

@@ -40,8 +40,6 @@ struct HwOutcome
 /**
  * Sample `samples` random mappings per layer on one hardware design,
  * tracking the incumbent best mapping per layer by per-layer EDP.
- * With a scorer installed, each sample's per-layer latencies are
- * served by one batched `scoreDesigns` call.
  */
 HwOutcome
 sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
@@ -65,12 +63,6 @@ sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
     std::vector<double> best_energy(layers.size(), 0.0);
     std::vector<double> best_latency(layers.size(), 0.0);
     std::vector<Mapping> maps(layers.size());
-    std::vector<double> lats(layers.size(), 0.0);
-    // maps elements are assigned in place each sample, so the queries
-    // (pointers into them) are built once and stay valid throughout.
-    const std::vector<LatencyQuery> queries =
-            scorer ? makeLayerQueries(layers, maps, hw)
-                   : std::vector<LatencyQuery>();
 
     for (int s = 0; s < samples; ++s) {
         // Cooperative cancellation/deadline poll, once per sample.
@@ -80,11 +72,10 @@ sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
         // evaluation; the draw order defines the RNG stream).
         for (size_t li = 0; li < layers.size(); ++li)
             maps[li] = randomValidMapping(layers[li], hw, rng);
-        if (scorer)
-            scorer.scoreDesigns(queries, lats);
         for (size_t li = 0; li < layers.size(); ++li) {
             RefEval ev = referenceEval(layers[li], maps[li], hw);
-            double lat = scorer ? lats[li] : ev.latency;
+            double lat = scorer ? scorer(layers[li], maps[li], hw)
+                                : ev.latency;
             double layer_edp = ev.energy_uj * lat;
             if (layer_edp < best_layer_edp[li]) {
                 best_layer_edp[li] = layer_edp;
@@ -214,16 +205,11 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
             out.maps.reserve(layers.size());
             for (const Layer &layer : layers)
                 out.maps.push_back(randomValidMapping(layer, hw, rng));
-            std::vector<double> lats;
-            if (cfg.scorer) {
-                lats.resize(layers.size(), 0.0);
-                cfg.scorer.scoreDesigns(
-                        makeLayerQueries(layers, out.maps, hw), lats);
-            }
             for (size_t li = 0; li < layers.size(); ++li) {
-                RefEval ev = referenceEval(layers[li], out.maps[li],
-                        hw);
-                double lat = cfg.scorer ? lats[li] : ev.latency;
+                const Mapping &m = out.maps[li];
+                RefEval ev = referenceEval(layers[li], m, hw);
+                double lat = cfg.scorer ? cfg.scorer(layers[li], m, hw)
+                                        : ev.latency;
                 out.edp.push_back(ev.energy_uj * lat);
                 out.energy.push_back(ev.energy_uj);
                 out.latency.push_back(lat);

@@ -31,10 +31,9 @@ struct RandomSearchConfig
      */
     int jobs = 1;
     /**
-     * Optional predicted-latency scorer for sampled designs; each
-     * sample's per-layer latencies go through the batched
-     * `scoreDesigns` seam as one call, so bulk backends see whole
-     * networks. Empty = reference-model latency (unchanged behavior).
+     * Optional predicted-latency scorer for sampled designs, called
+     * once per (layer, mapping). Empty = reference-model latency
+     * (unchanged behavior).
      */
     LatencyScorer scorer;
     /**
@@ -63,8 +62,8 @@ struct MapperConfig
      */
     int jobs = 1;
     /**
-     * Optional predicted-latency scorer, batched per sample through
-     * `scoreDesigns`. Empty = reference-model latency.
+     * Optional predicted-latency scorer, called once per (layer,
+     * mapping). Empty = reference-model latency.
      */
     LatencyScorer scorer;
     /** Cooperative run control (see RandomSearchConfig). Not owned. */

@@ -145,69 +145,6 @@ LatencyPredictor::predict(const Layer &layer, const Mapping &mapping,
     return analytical_lat;
 }
 
-void
-LatencyPredictor::predictBatch(std::span<const LatencyQuery> queries,
-                               std::span<double> out) const
-{
-    if (queries.size() != out.size())
-        panic("LatencyPredictor::predictBatch: span size mismatch");
-    if (queries.empty())
-        return;
-    if (kind_ == LatencyModelKind::Analytical) {
-        for (size_t i = 0; i < queries.size(); ++i)
-            out[i] = referenceEval(*queries[i].layer,
-                    *queries[i].mapping, *queries[i].hw).latency;
-        return;
-    }
-
-    // Recording the MLP graph costs a few point forwards, so tiny
-    // batches (single designs of small networks) stay on the point
-    // loop; both paths are bitwise-identical, so the cutoff is
-    // invisible to callers.
-    if (queries.size() < 2 * ad::Tape::kLaneWidth) {
-        for (size_t i = 0; i < queries.size(); ++i)
-            out[i] = predict(*queries[i].layer, *queries[i].mapping,
-                    *queries[i].hw);
-        return;
-    }
-
-    // Standardized feature rows, lane-major: exactly the doubles the
-    // point path would feed the MLP.
-    const size_t nf = static_cast<size_t>(mlp_->inputSize());
-    std::vector<double> feats(queries.size() * nf);
-    for (size_t i = 0; i < queries.size(); ++i) {
-        std::vector<double> f = stdzr_.apply(encodeFeatures(
-                *queries[i].layer, *queries[i].mapping,
-                *queries[i].hw));
-        std::copy(f.begin(), f.end(),
-                feats.begin() + static_cast<long>(i * nf));
-    }
-
-    // Record the network forward once (a local tape keeps the call
-    // thread-safe), then value every row in one lane-blocked batch
-    // sweep; per lane the sweep is bitwise-identical to mlp_->predict
-    // on that row.
-    ad::Tape tape;
-    std::vector<ad::Var> row;
-    row.reserve(nf);
-    for (size_t j = 0; j < nf; ++j)
-        row.emplace_back(tape, feats[j]);
-    ad::Var pred = mlp_->forwardT<ad::Var>(row);
-    const ad::NodeId head[] = {pred.id()};
-    std::vector<double> preds(queries.size());
-    tape.replayBatch(feats, std::span<const ad::NodeId>(head, 1),
-            preds);
-
-    for (size_t i = 0; i < queries.size(); ++i) {
-        double scale = std::exp(preds[i]);
-        out[i] = kind_ == LatencyModelKind::DnnOnly
-                         ? scale
-                         : referenceEval(*queries[i].layer,
-                                   *queries[i].mapping,
-                                   *queries[i].hw).latency * scale;
-    }
-}
-
 std::vector<double>
 LatencyPredictor::predictAll(const SurrogateDataset &ds) const
 {
@@ -221,20 +158,10 @@ LatencyPredictor::predictAll(const SurrogateDataset &ds) const
 LatencyScorer
 LatencyPredictor::scorer() const
 {
-    LatencyScorer::PointFn point = [this](const Layer &layer,
-                                          const Mapping &m,
-                                          const HardwareConfig &hw) {
+    return [this](const Layer &layer, const Mapping &m,
+                  const HardwareConfig &hw) {
         return predict(layer, m, hw);
     };
-    // Batched seam: one call per network/ordering sweep, served by
-    // the bulk tape-replay backend (bitwise-identical to the point
-    // path, so callers cannot tell which one ran).
-    LatencyScorer::BatchFn batch =
-            [this](std::span<const LatencyQuery> queries,
-                   std::span<double> out) {
-        predictBatch(queries, out);
-    };
-    return LatencyScorer::batched(std::move(point), std::move(batch));
 }
 
 ad::Var

@@ -73,25 +73,16 @@ class LatencyPredictor
     double predict(const Layer &layer, const Mapping &mapping,
                    const HardwareConfig &hw) const;
 
-    /**
-     * Bulk predictions: record the MLP forward on a tape once, then
-     * value every query's (standardized) feature row in one
-     * lane-blocked `Tape::replayBatch` sweep instead of running the
-     * network per query (batches below two lane blocks stay on the
-     * point loop — recording the graph costs a few forwards).
-     * Element i is bitwise-identical to predict(*queries[i]...).
-     * This is the bulk backend behind scorer(); spans must have
-     * equal length.
-     */
-    void predictBatch(std::span<const LatencyQuery> queries,
-                      std::span<double> out) const;
-
     /** Predictions over a whole dataset. */
     std::vector<double> predictAll(const SurrogateDataset &ds) const;
 
     LatencyModelKind kind() const { return kind_; }
 
-    /** Scorer closure for DosaConfig::scorer (SearchSpec::scorer). */
+    /**
+     * Point scorer over predict() for DosaConfig::scorer
+     * (SearchSpec::scorer). Captures `this`: the predictor must
+     * outlive every search the scorer is installed in.
+     */
     LatencyScorer scorer() const;
 
     /**

@@ -457,7 +457,7 @@ TEST(Tape, ClearAndReserve)
     Var b = a + Var(1.0);
     (void)b;
     EXPECT_GE(tape.size(), 2u);
-    tape.clear();
+    tape.reset();
     EXPECT_EQ(tape.size(), 0u);
 }
 

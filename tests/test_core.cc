@@ -10,7 +10,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 
 #include "api/search_api.hh"
 #include "core/adam.hh"
@@ -190,7 +189,7 @@ TEST(Objective, EngineReplayBitwiseEqualsFreshBuild)
     }
 }
 
-TEST(Objective, BatchedScorerSeamMatchesPointCalls)
+TEST(Objective, LatencyScorerInstalledOrReference)
 {
     Network net = bertBase();
     std::vector<Layer> layers(net.layers.begin(),
@@ -200,50 +199,36 @@ TEST(Objective, BatchedScorerSeamMatchesPointCalls)
     for (const Layer &l : layers)
         mappings.push_back(cosaMap(l, hw));
 
-    // A point scorer with a recognizable shape.
-    LatencyScorer point([](const Layer &l, const Mapping &,
-                           const HardwareConfig &) {
+    // An installed scorer supplies every layer's latency; energy
+    // stays on the reference model.
+    LatencyScorer scorer = [](const Layer &l, const Mapping &,
+                              const HardwareConfig &) {
         return static_cast<double>(l.k) * 2.0;
-    });
-    std::vector<LatencyQuery> queries(layers.size());
-    for (size_t i = 0; i < layers.size(); ++i)
-        queries[i] = {&layers[i], &mappings[i], &hw};
-    std::vector<double> out(layers.size(), 0.0);
-    point.scoreDesigns(queries, out);
-    for (size_t i = 0; i < layers.size(); ++i)
-        EXPECT_DOUBLE_EQ(out[i],
-                static_cast<double>(layers[i].k) * 2.0);
-
-    // A bulk backend takes precedence over the point loop.
-    LatencyScorer bulk = LatencyScorer::batched(
-            [](const Layer &, const Mapping &,
-               const HardwareConfig &) { return -1.0; },
-            [](std::span<const LatencyQuery> qs,
-               std::span<double> o) {
-                for (size_t i = 0; i < qs.size(); ++i)
-                    o[i] = static_cast<double>(i) + 10.0;
-            });
-    bulk.scoreDesigns(queries, out);
-    for (size_t i = 0; i < layers.size(); ++i)
-        EXPECT_DOUBLE_EQ(out[i], static_cast<double>(i) + 10.0);
-
-    // A batch-only backend still counts as installed, and point
-    // calls route through a single-query bulk call.
-    LatencyScorer batch_only = LatencyScorer::batched({},
-            [](std::span<const LatencyQuery> qs, std::span<double> o) {
-                for (size_t i = 0; i < qs.size(); ++i)
-                    o[i] = static_cast<double>(qs[i].layer->k) + 0.5;
-            });
-    EXPECT_TRUE(static_cast<bool>(batch_only));
-    EXPECT_DOUBLE_EQ(batch_only(layers[1], mappings[1], hw),
-            static_cast<double>(layers[1].k) + 0.5);
+    };
+    NetworkEval scored = scoreDesign(layers, mappings, hw, scorer);
+    NetworkEval ref = referenceNetworkEval(layers, mappings, hw);
+    double latency = 0.0;
+    for (const Layer &l : layers)
+        latency += static_cast<double>(l.count) *
+                   (static_cast<double>(l.k) * 2.0);
+    EXPECT_EQ(scored.latency, latency);
+    EXPECT_EQ(scored.energy_uj, ref.energy_uj);
 
     // Empty scorer: reference-model latency.
-    LatencyScorer empty;
-    EXPECT_FALSE(static_cast<bool>(empty));
-    empty.scoreDesigns(queries, out);
-    for (size_t i = 0; i < layers.size(); ++i)
-        EXPECT_GT(out[i], 0.0);
+    NetworkEval empty = scoreDesign(layers, mappings, hw, {});
+    EXPECT_EQ(empty.latency, ref.latency);
+    EXPECT_EQ(empty.edp, ref.edp);
+}
+
+TEST(ObjectiveDeathTest, EngineEmptyBatchPanics)
+{
+    std::vector<Layer> layers = {Layer::gemm("a", 8, 8, 8)};
+    std::vector<OrderVec> orders = {uniformOrder(LoopOrder::WS)};
+    ObjectiveEngine engine;
+    std::vector<std::vector<double>> xs;
+    EXPECT_DEATH(engine.evalBatch(layers, xs, orders,
+                         OrderStrategy::Fixed, ObjectiveMode{}),
+            "empty candidate batch");
 }
 
 TEST(Objective, PenaltyFiresOnInvalidFactors)

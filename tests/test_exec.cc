@@ -2,7 +2,8 @@
  * @file
  * Tests for the parallel execution runtime (src/exec): ThreadPool
  * semantics, deterministic RNG stream splitting, and the serial ==
- * parallel contract of every searcher that fans out on the pool.
+ * parallel contract of every searcher that fans out on the pool, with
+ * and without a latency scorer installed.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +11,13 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/search_api.hh"
+#include "core/dosa_optimizer.hh"
 #include "exec/thread_pool.hh"
+#include "surrogate/latency_predictor.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
 
@@ -222,6 +227,70 @@ TEST(ExecDeterminism, BayesOptSerialEqualsParallel)
     EXPECT_EQ(serial.trace, parallel.trace);
     EXPECT_EQ(serial.best_edp, parallel.best_edp);
     EXPECT_EQ(serial.best_hw, parallel.best_hw);
+}
+
+TEST(ExecDeterminism, ScoredSearchersSerialEqualParallel)
+{
+    // Every searcher with a learned latency scorer installed: serial
+    // equals parallel, and the installed design scores exactly the
+    // reported best_edp under that scorer (the scored counterpart of
+    // ApiCancellation.InstalledDesignAlwaysScoresBestEdp). On the
+    // 4-layer workload each DOSA ordering selection makes 12 scorer
+    // calls.
+    SurrogateDataset ds = generateSurrogateDataset(16, 9);
+    LatencyPredictor pred = LatencyPredictor::trainCombined(ds, 2, 9);
+    const Network bert = bertBase();
+    const std::vector<std::vector<Layer>> workloads = {
+        {Layer::gemm("a", 64, 64, 128)},
+        {bert.layers.begin(), bert.layers.begin() + 4},
+    };
+
+    for (const std::vector<Layer> &workload : workloads) {
+        auto scored = [&](const char *algorithm, uint64_t seed) {
+            SearchSpec spec;
+            spec.algorithm = algorithm;
+            spec.workload = workload;
+            spec.seed = seed;
+            spec.scorer = pred.scorer();
+            return spec;
+        };
+        SearchSpec random = scored("random", 3);
+        random.options.set("hw_designs", 3).set("mappings_per_hw", 12);
+        SearchSpec mapper = scored("mapper", 17);
+        mapper.options.set("samples", 16);
+        SearchSpec bayesopt = scored("bayesopt", 21);
+        bayesopt.options.set("warmup_samples", 4)
+                .set("total_samples", 10)
+                .set("hw_candidates", 2)
+                .set("map_candidates", 3);
+        SearchSpec dosa = scored("dosa", 7);
+        dosa.options.set("start_points", 2)
+                .set("steps_per_start", 12)
+                .set("round_every", 6);
+
+        for (SearchSpec spec : {random, mapper, bayesopt, dosa}) {
+            const std::string where = spec.algorithm + ", " +
+                    std::to_string(workload.size()) + " layer(s)";
+            spec.jobs = 1;
+            SearchReport serial = runSearch(spec);
+            spec.jobs = 4;
+            SearchReport parallel = runSearch(spec);
+            EXPECT_EQ(serial.search.trace, parallel.search.trace)
+                    << where;
+            EXPECT_EQ(serial.search.best_edp, parallel.search.best_edp)
+                    << where;
+            for (const SearchReport *report : {&serial, &parallel}) {
+                const SearchResult &r = report->search;
+                ASSERT_EQ(r.best_mappings.size(), workload.size())
+                        << where;
+                EXPECT_EQ(scoreDesign(workload, r.best_mappings,
+                                  r.best_hw, spec.scorer)
+                                  .edp,
+                        r.best_edp)
+                        << where;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -370,10 +370,10 @@ TEST(ObsInvariance, SearcherPhasesAppearAsSpans)
 
     std::set<std::string> names = eventNames(obs::globalTracer().toJson());
     // The driver phases, every searcher's own phases and the facade
-    // and batched-replay spans must all be present.
+    // span must all be present.
     for (const char *expected :
             {"setup", "done", "starts", "descent", "merge", "sampling",
-             "warmup", "guided", "runSearch", "tape.replayBatch"})
+             "warmup", "guided", "runSearch"})
         EXPECT_TRUE(names.count(expected))
                 << expected << " missing from trace";
 }
