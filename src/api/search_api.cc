@@ -60,6 +60,20 @@ class PhaseSpanTracker
     uint64_t start_ns_ = 0;
 };
 
+/** `runSearch`'s instruments, looked up once (registry rule). */
+struct ApiMetrics
+{
+    obs::Counter &searches = obs::counter("api.searches");
+    obs::Counter &samples = obs::counter("api.samples");
+};
+
+ApiMetrics &
+apiMetrics()
+{
+    static ApiMetrics m;
+    return m;
+}
+
 /**
  * The searcher registry: entries plus the mutex that guards them,
  * bundled so the lock relationship is visible to the thread-safety
@@ -261,7 +275,7 @@ runSearch(const SearchSpec &spec, SearchObserver *observer)
     const Searcher *searcher = Search::find(spec.algorithm);
 
     obs::TraceSpan run_span("runSearch", "search");
-    obs::counter("api.searches").add(1);
+    apiMetrics().searches.add(1);
 
     // Bridge the observer (and the phase-span tracker) onto the
     // cooperative run control the searchers poll; without an observer
@@ -300,11 +314,11 @@ runSearch(const SearchSpec &spec, SearchObserver *observer)
     }
 
     control.phase("setup");
-    SearchReport report = searcher->run(spec, &control);
+    SearchReport report = searcher->run(spec, control);
     control.phase("done");
     phases.finish();
-    obs::counter("api.samples")
-        .add(static_cast<uint64_t>(report.search.trace.size()));
+    apiMetrics().samples.add(
+            static_cast<uint64_t>(report.search.trace.size()));
     // The result leaves the driver's scope; the control dies here.
     report.search.control = nullptr;
     return report;

@@ -86,11 +86,11 @@ class Searcher
     virtual size_t plannedSamples(const SearchSpec &spec) const = 0;
 
     /**
-     * Run the search. `control` is the driver-installed cooperative
-     * run control (may be null when invoked outside the driver).
+     * Run the search under the driver-installed cooperative run
+     * `control` (budget, deadline, cancellation, callbacks).
      */
     virtual SearchReport run(const SearchSpec &spec,
-                             SearchControl *control) const = 0;
+                             SearchControl &control) const = 0;
 };
 
 /**

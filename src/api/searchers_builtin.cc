@@ -163,11 +163,10 @@ class DosaSearcher : public TableSearcher<DosaConfig>
     }
 
     SearchReport
-    run(const SearchSpec &spec, SearchControl *control) const override
+    run(const SearchSpec &spec, SearchControl &control) const override
     {
-        DosaConfig cfg = configFromSpec(spec);
-        cfg.control = control;
-        DosaResult r = detail::dosaSearchImpl(spec.workload, cfg);
+        DosaResult r = detail::dosaSearchImpl(spec.workload,
+                configFromSpec(spec), control);
         SearchReport report;
         report.search = std::move(r.search);
         report.best_start_edp = r.best_start_edp;
@@ -221,12 +220,11 @@ class RandomSearcher : public TableSearcher<RandomSearchConfig>
     }
 
     SearchReport
-    run(const SearchSpec &spec, SearchControl *control) const override
+    run(const SearchSpec &spec, SearchControl &control) const override
     {
-        RandomSearchConfig cfg = configFromSpec(spec);
-        cfg.control = control;
         SearchReport report;
-        report.search = detail::randomSearchImpl(spec.workload, cfg);
+        report.search = detail::randomSearchImpl(spec.workload,
+                configFromSpec(spec), control);
         return report;
     }
 };
@@ -271,13 +269,11 @@ class MapperSearcher : public TableSearcher<MapperConfig>
     }
 
     SearchReport
-    run(const SearchSpec &spec, SearchControl *control) const override
+    run(const SearchSpec &spec, SearchControl &control) const override
     {
-        MapperConfig cfg = configFromSpec(spec);
-        cfg.control = control;
         SearchReport report;
         report.search = detail::randomMapperSearchImpl(spec.workload,
-                spec.fixed_hw, cfg);
+                spec.fixed_hw, configFromSpec(spec), control);
         return report;
     }
 };
@@ -330,13 +326,11 @@ class BayesOptSearcher : public TableSearcher<BayesOptConfig>
     }
 
     SearchReport
-    run(const SearchSpec &spec, SearchControl *control) const override
+    run(const SearchSpec &spec, SearchControl &control) const override
     {
-        BayesOptConfig cfg = configFromSpec(spec);
-        cfg.control = control;
         SearchReport report;
-        report.search =
-                detail::bayesOptSearchImpl(spec.workload, cfg);
+        report.search = detail::bayesOptSearchImpl(spec.workload,
+                configFromSpec(spec), control);
         return report;
     }
 };

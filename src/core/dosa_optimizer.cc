@@ -315,7 +315,7 @@ makeStartCandidate(const std::vector<Layer> &layers,
  */
 StartOutcome
 runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
-              StartCandidate start)
+              const SearchControl &control, StartCandidate start)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     StartOutcome out;
@@ -381,7 +381,7 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
         // Cooperative cancellation/deadline poll, once per descent
         // step (each step is a full tape replay over the network, so
         // the clock read is noise).
-        if (cfg.control != nullptr && cfg.control->stopRequested())
+        if (control.stopRequested())
             break;
         const ObjectiveEval &ev = engine.eval(layers, x, orders,
                 cfg.strategy, cfg.mode);
@@ -449,12 +449,12 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
 
 DosaResult
 detail::dosaSearchImpl(const std::vector<Layer> &layers,
-                       const DosaConfig &cfg)
+                       const DosaConfig &cfg, SearchControl &control)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     DosaResult result;
     result.best_start_edp = kInf;
-    result.search.control = cfg.control;
+    result.search.control = &control;
     if (cfg.mode.pareto.active())
         result.search.frontier.configure(cfg.mode.pareto);
 
@@ -463,8 +463,7 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
     const int tries = std::max(1, cfg.max_start_tries);
     result.search.reserveTrace(num_starts *
             (static_cast<size_t>(cfg.steps_per_start) + 1));
-    if (cfg.control != nullptr)
-        cfg.control->phase("starts");
+    control.phase("starts");
 
     // ---- Phase 1 (parallel): candidate attempts per start point.
     // Start sp draws from its own stream (cfg.seed, sp), so attempts
@@ -515,10 +514,9 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
     }
 
     // ---- Phase 3 (parallel): gradient descent per start point.
-    if (cfg.control != nullptr)
-        cfg.control->phase("descent");
+    control.phase("descent");
     auto outcomes = pool.parallelMap(starts.size(), [&](size_t sp) {
-        return runStartPoint(layers, cfg, std::move(starts[sp]));
+        return runStartPoint(layers, cfg, control, std::move(starts[sp]));
     });
 
     // ---- Phase 4 (serial): merge in start order. Concatenating the
@@ -526,12 +524,11 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
     // sample-order convention) byte for byte; the best-design check
     // runs before this start's samples so strict-< tie-breaking
     // matches the serial stream.
-    if (cfg.control != nullptr)
-        cfg.control->phase("merge");
+    control.phase("merge");
     for (const StartOutcome &o : outcomes) {
         // Hard stop only: a deadline hit during descent must not
         // discard the samples the starts already computed.
-        if (cfg.control != nullptr && cfg.control->recordingStopped())
+        if (control.recordingStopped())
             break;
         if (o.start_valid && o.start_edp < result.best_start_edp) {
             result.best_start_edp = o.start_edp;

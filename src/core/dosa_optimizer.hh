@@ -63,13 +63,6 @@ struct DosaConfig
     bool project_feasible = true;
     /** Restart each segment from the best rounded design so far. */
     bool restart_from_best = true;
-
-    /**
-     * Cooperative run control (cancellation, deadline, sample budget,
-     * streaming callbacks), installed by the `src/api` driver — leave
-     * null when calling the searcher directly. Not owned.
-     */
-    SearchControl *control = nullptr;
 };
 
 /** DOSA run outcome. */
@@ -86,10 +79,11 @@ namespace detail {
 
 /**
  * Canonical DOSA implementation behind the registered "dosa"
- * searcher; honors `cfg.control`. Call `runSearch` instead.
+ * searcher; runs under the driver's `control`. Call `runSearch`
+ * instead.
  */
 DosaResult dosaSearchImpl(const std::vector<Layer> &layers,
-                          const DosaConfig &cfg);
+                          const DosaConfig &cfg, SearchControl &control);
 
 } // namespace detail
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * MetricsRegistry implementation: striped instrument storage,
- * histogram bucketing, and the canonical-JSON snapshot codec.
+ * MetricsRegistry implementation: the instrument map, histogram
+ * bucketing, and the canonical-JSON snapshot codec.
  */
 
 #include "obs/metrics.hh"
@@ -14,18 +14,6 @@
 namespace dosa::obs {
 
 namespace {
-
-/** FNV-1a over the name, masked to a shard index. */
-size_t
-nameShard(std::string_view name)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return static_cast<size_t>(h) & (MetricsRegistry::kNumShards - 1);
-}
 
 /** Bucket index for a duration: floor(log2(ns)), 0 ns in bucket 0. */
 size_t
@@ -228,26 +216,11 @@ MetricsSnapshot::fromJson(const json::Value &value,
     return r.finish();
 }
 
-MetricsRegistry::Shard &
-MetricsRegistry::shardFor(std::string_view name)
-{
-    return shards_[nameShard(name)];
-}
-
-MetricsRegistry::Instrument &
-MetricsRegistry::instrument(std::string_view name)
-{
-    Shard &shard = shardFor(name);
-    util::MutexLock lock(shard.mtx);
-    return shard.map[std::string(name)];
-}
-
 Counter &
 MetricsRegistry::counter(std::string_view name)
 {
-    Shard &shard = shardFor(name);
-    util::MutexLock lock(shard.mtx);
-    Instrument &in = shard.map[std::string(name)];
+    util::MutexLock lock(mtx_);
+    Instrument &in = instruments_[std::string(name)];
     if (!in.counter)
         in.counter.reset(new Counter(&enabled_));
     return *in.counter;
@@ -256,9 +229,8 @@ MetricsRegistry::counter(std::string_view name)
 Gauge &
 MetricsRegistry::gauge(std::string_view name)
 {
-    Shard &shard = shardFor(name);
-    util::MutexLock lock(shard.mtx);
-    Instrument &in = shard.map[std::string(name)];
+    util::MutexLock lock(mtx_);
+    Instrument &in = instruments_[std::string(name)];
     if (!in.gauge)
         in.gauge.reset(new Gauge(&enabled_));
     return *in.gauge;
@@ -267,9 +239,8 @@ MetricsRegistry::gauge(std::string_view name)
 Histogram &
 MetricsRegistry::histogram(std::string_view name)
 {
-    Shard &shard = shardFor(name);
-    util::MutexLock lock(shard.mtx);
-    Instrument &in = shard.map[std::string(name)];
+    util::MutexLock lock(mtx_);
+    Instrument &in = instruments_[std::string(name)];
     if (!in.histogram)
         in.histogram.reset(new Histogram(&enabled_));
     return *in.histogram;
@@ -279,62 +250,35 @@ MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    for (const Shard &shard : shards_) {
-        util::MutexLock lock(shard.mtx);
-        for (const auto &[name, in] : shard.map) {
-            if (in.counter)
-                snap.counters[name] = in.counter->value();
-            if (in.gauge)
-                snap.gauges[name] = in.gauge->value();
-            if (in.histogram) {
-                const Histogram &h = *in.histogram;
-                MetricsSnapshot::HistogramData d;
-                d.count = h.count_.load(std::memory_order_relaxed);
-                d.sum_s =
-                    static_cast<double>(
-                        h.sum_ns_.load(std::memory_order_relaxed)) *
-                    1e-9;
-                uint64_t mn = h.min_ns_.load(std::memory_order_relaxed);
-                d.min_s = d.count == 0 || mn == UINT64_MAX
-                              ? 0.0
-                              : static_cast<double>(mn) * 1e-9;
-                d.max_s = static_cast<double>(h.max_ns_.load(
-                              std::memory_order_relaxed)) *
-                          1e-9;
-                for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-                    uint64_t n =
-                        h.buckets_[i].load(std::memory_order_relaxed);
-                    if (n != 0)
-                        d.buckets.emplace_back(bucketUpperSeconds(i), n);
-                }
-                snap.histograms[name] = std::move(d);
+    util::MutexLock lock(mtx_);
+    for (const auto &[name, in] : instruments_) {
+        if (in.counter)
+            snap.counters[name] = in.counter->value();
+        if (in.gauge)
+            snap.gauges[name] = in.gauge->value();
+        if (in.histogram) {
+            const Histogram &h = *in.histogram;
+            MetricsSnapshot::HistogramData d;
+            d.count = h.count_.load(std::memory_order_relaxed);
+            d.sum_s = static_cast<double>(
+                          h.sum_ns_.load(std::memory_order_relaxed)) *
+                      1e-9;
+            uint64_t mn = h.min_ns_.load(std::memory_order_relaxed);
+            d.min_s = d.count == 0 || mn == UINT64_MAX
+                          ? 0.0
+                          : static_cast<double>(mn) * 1e-9;
+            d.max_s = static_cast<double>(h.max_ns_.load(
+                          std::memory_order_relaxed)) *
+                      1e-9;
+            for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+                uint64_t n = h.buckets_[i].load(std::memory_order_relaxed);
+                if (n != 0)
+                    d.buckets.emplace_back(bucketUpperSeconds(i), n);
             }
+            snap.histograms[name] = std::move(d);
         }
     }
     return snap;
-}
-
-void
-MetricsRegistry::reset()
-{
-    for (Shard &shard : shards_) {
-        util::MutexLock lock(shard.mtx);
-        for (auto &[name, in] : shard.map) {
-            if (in.counter)
-                in.counter->v_.store(0, std::memory_order_relaxed);
-            if (in.gauge)
-                in.gauge->v_.store(0, std::memory_order_relaxed);
-            if (in.histogram) {
-                Histogram &h = *in.histogram;
-                h.count_.store(0, std::memory_order_relaxed);
-                h.sum_ns_.store(0, std::memory_order_relaxed);
-                h.min_ns_.store(UINT64_MAX, std::memory_order_relaxed);
-                h.max_ns_.store(0, std::memory_order_relaxed);
-                for (auto &b : h.buckets_)
-                    b.store(0, std::memory_order_relaxed);
-            }
-        }
-    }
 }
 
 MetricsRegistry &

@@ -14,10 +14,9 @@
  *   any computation: enabling or disabling the registry cannot change
  *   a search result by a single bit (pinned by tests/test_obs.cc).
  * - *Thread-safe and cheap.* Instrument handles are stable references
- *   to atomics (callers cache them in function-local statics); the
- *   name->instrument maps are striped over independently locked
- *   shards so first-use lookups from parallel searchers do not
- *   contend.
+ *   to atomics, and callers cache them in function-local statics, so
+ *   the one name->instrument map and its mutex are touched on first
+ *   use and by `snapshot()` only.
  * - *Deterministic snapshots.* `snapshot()` returns every value
  *   sorted by name, and `MetricsSnapshot::toJson()` serializes via
  *   `util/json` (sorted keys, canonical number tokens), so the same
@@ -46,7 +45,7 @@
  *   writes they observe — stale-by-a-few-events is always fine.
  * - *Publication is the mutex's job.* The instrument objects
  *   themselves are created and their addresses published under the
- *   shard mutex; the happens-before edge a thread needs before
+ *   registry mutex; the happens-before edge a thread needs before
  *   first touching an atomic comes from that lock (and, for cached
  *   references, from the caller's own synchronization), never from
  *   the instrument ops.
@@ -222,17 +221,15 @@ struct MetricsSnapshot
 };
 
 /**
- * The striped name->instrument registry. Instruments are created on
- * first use and live for the registry's lifetime, so the returned
- * references are stable — callers cache them in function-local
- * statics and pay one relaxed atomic op per event after that.
+ * The name->instrument registry: one map under one mutex. Instruments
+ * are created on first use and live for the registry's lifetime, so
+ * the returned references are stable — callers cache them in
+ * function-local statics and pay one relaxed atomic op per event
+ * after that.
  */
 class MetricsRegistry
 {
   public:
-    /** Shard count for the name maps; a power of two. */
-    static constexpr size_t kNumShards = 16;
-
     MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
@@ -257,11 +254,8 @@ class MetricsRegistry
     void setEnabled(bool enabled) { enabled_.store(enabled); }
     bool enabled() const { return enabled_.load(); }
 
-    /** Zero every instrument (names survive). */
-    void reset();
-
   private:
-    /** One instrument of any kind, keyed by name within a shard. */
+    /** One instrument of any kind, keyed by name. */
     struct Instrument
     {
         std::unique_ptr<Counter> counter;
@@ -269,17 +263,9 @@ class MetricsRegistry
         std::unique_ptr<Histogram> histogram;
     };
 
-    struct Shard
-    {
-        /** mutable: `snapshot()` is const but locks each shard. */
-        mutable util::Mutex mtx;
-        std::map<std::string, Instrument> map GUARDED_BY(mtx);
-    };
-
-    Shard &shardFor(std::string_view name);
-    Instrument &instrument(std::string_view name);
-
-    std::array<Shard, kNumShards> shards_;
+    /** mutable: `snapshot()` is const but takes the lock. */
+    mutable util::Mutex mtx_;
+    std::map<std::string, Instrument> instruments_ GUARDED_BY(mtx_);
     std::atomic<bool> enabled_{true};
 };
 

@@ -1,42 +1,28 @@
 /**
  * @file
- * Tracer implementation: per-thread ring registration, bounded
- * event storage, and the Chrome trace-event JSON emitter.
+ * Tracer implementation: the shared event ring and the Chrome
+ * trace-event JSON emitter.
  */
 
 #include "obs/trace.hh"
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 namespace dosa::obs {
 
 namespace {
 
-/**
- * Thread-local handle onto the calling thread's ring. The generation
- * stamp makes every thread re-register after an enable() (which
- * starts a fresh epoch and drops old rings); the shared_ptr keeps a
- * stale ring alive until the thread notices, so there is never a
- * dangling write.
- */
-struct ThreadHandle
+/** Small process-unique id of the calling thread (the Chrome `tid`). */
+uint64_t
+threadId()
 {
-    const Tracer *owner = nullptr;
-    uint64_t generation = 0;
-    std::shared_ptr<void> ring;
-};
-
-thread_local ThreadHandle t_handle;
-
-/**
- * Generation source shared by every Tracer instance. Generations must
- * be process-unique, not per-instance: a new Tracer allocated at a
- * recycled address could otherwise match a stale thread handle
- * (owner pointer and per-instance counter both equal) and write into
- * the dead tracer's ring with the wrong capacity.
- */
-std::atomic<uint64_t> g_generation{0};
+    static std::atomic<uint64_t> next{1};
+    thread_local const uint64_t id =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return id;
+}
 
 } // namespace
 
@@ -46,19 +32,17 @@ Tracer::enable()
     util::MutexLock lock(mtx_);
     if (enabled_.load(std::memory_order_relaxed))
         return;
-    rings_.clear();
-    next_tid_ = 1;
+    ring_.clear();
+    next_ = 0;
+    dropped_ = 0;
     epoch_ns_.store(
         static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now().time_since_epoch())
                 .count()),
         std::memory_order_relaxed);
-    generation_.store(
-        g_generation.fetch_add(1, std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
     // Release pairs with the acquire in enabled(): a thread that sees
-    // enabled==true also sees the new epoch and generation.
+    // enabled==true also sees the new epoch.
     enabled_.store(true, std::memory_order_release);
 }
 
@@ -94,167 +78,70 @@ Tracer::sinceEpochNs(std::chrono::steady_clock::time_point t) const
     return t_ns > epoch ? t_ns - epoch : 0;
 }
 
-Tracer::Ring &
-Tracer::threadRing()
-{
-    uint64_t gen = generation_.load(std::memory_order_relaxed);
-    if (t_handle.owner != this || t_handle.generation != gen ||
-        !t_handle.ring) {
-        auto ring = std::make_shared<Ring>();
-        {
-            util::MutexLock lock(mtx_);
-            // The fresh ring's own lock is uncontended (nothing else
-            // can reach it before rings_.push_back publishes it), but
-            // its storage and tid are ring-guarded state: initialize
-            // them under the ring lock so the annotation — and the
-            // happens-before edge dump threads rely on — is explicit
-            // rather than implied by publication order.
-            util::MutexLock ring_lock(ring->mtx);
-            ring->events.resize(capacity_);
-            ring->tid = next_tid_++;
-            rings_.push_back(ring);
-        }
-        t_handle.owner = this;
-        t_handle.generation = gen;
-        t_handle.ring = ring;
-    }
-    return *static_cast<Ring *>(t_handle.ring.get());
-}
-
-void
-Tracer::push(const Event &ev)
-{
-    Ring &ring = threadRing();
-    util::MutexLock lock(ring.mtx);
-    ring.events[ring.next] = ev;
-    ring.next = (ring.next + 1) % ring.events.size();
-    ring.recorded++;
-}
-
 void
 Tracer::recordSpan(const char *name, const char *cat, uint64_t start_ns,
-                   uint64_t end_ns, int64_t arg0, int64_t arg1)
+                   uint64_t end_ns)
 {
     if (!enabled())
         return;
-    Event ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.ts_ns = start_ns;
-    ev.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
-    ev.arg0 = arg0;
-    ev.arg1 = arg1;
-    ev.ph = 'X';
-    push(ev);
-}
-
-void
-Tracer::recordInstant(const char *name, const char *cat, int64_t arg0)
-{
-    if (!enabled())
+    const Event ev{name, cat, start_ns,
+                   end_ns >= start_ns ? end_ns - start_ns : 0,
+                   threadId()};
+    util::MutexLock lock(mtx_);
+    if (ring_.size() < capacity_) {
+        ring_.push_back(ev);
         return;
-    Event ev;
-    ev.name = name;
-    ev.cat = cat;
-    ev.ts_ns = nowNs();
-    ev.dur_ns = 0;
-    ev.arg0 = arg0;
-    ev.arg1 = -1;
-    ev.ph = 'i';
-    push(ev);
+    }
+    ring_[next_] = ev;
+    next_ = (next_ + 1) % ring_.size();
+    dropped_++;
 }
 
 size_t
 Tracer::eventCount() const
 {
-    size_t total = 0;
-    std::vector<std::shared_ptr<Ring>> rings;
-    {
-        util::MutexLock lock(mtx_);
-        rings = rings_;
-    }
-    for (const auto &ring : rings) {
-        util::MutexLock lock(ring->mtx);
-        total += std::min<uint64_t>(ring->recorded, ring->events.size());
-    }
-    return total;
+    util::MutexLock lock(mtx_);
+    return ring_.size();
 }
 
 uint64_t
 Tracer::droppedCount() const
 {
-    uint64_t dropped = 0;
-    std::vector<std::shared_ptr<Ring>> rings;
-    {
-        util::MutexLock lock(mtx_);
-        rings = rings_;
-    }
-    for (const auto &ring : rings) {
-        util::MutexLock lock(ring->mtx);
-        uint64_t cap = ring->events.size();
-        if (ring->recorded > cap)
-            dropped += ring->recorded - cap;
-    }
-    return dropped;
+    util::MutexLock lock(mtx_);
+    return dropped_;
 }
 
 json::Value
 Tracer::toJson() const
 {
-    struct Tagged
-    {
-        Event ev;
-        uint64_t tid;
-    };
-    std::vector<Tagged> all;
-    std::vector<std::shared_ptr<Ring>> rings;
+    std::vector<Event> all;
     {
         util::MutexLock lock(mtx_);
-        rings = rings_;
-    }
-    for (const auto &ring : rings) {
-        util::MutexLock lock(ring->mtx);
-        size_t cap = ring->events.size();
-        size_t n = static_cast<size_t>(
-            std::min<uint64_t>(ring->recorded, cap));
-        // Oldest retained event first: once wrapped, the cursor points
-        // at it.
-        size_t start = ring->recorded > cap ? ring->next : 0;
-        for (size_t i = 0; i < n; ++i)
-            all.push_back(
-                Tagged{ring->events[(start + i) % cap], ring->tid});
+        // Oldest retained event first: once wrapped, next_ points at it.
+        all.reserve(ring_.size());
+        std::rotate_copy(ring_.begin(),
+                         ring_.begin() + static_cast<std::ptrdiff_t>(next_),
+                         ring_.end(), std::back_inserter(all));
     }
     std::stable_sort(all.begin(), all.end(),
-                     [](const Tagged &a, const Tagged &b) {
-                         if (a.ev.ts_ns != b.ev.ts_ns)
-                             return a.ev.ts_ns < b.ev.ts_ns;
+                     [](const Event &a, const Event &b) {
+                         if (a.ts_ns != b.ts_ns)
+                             return a.ts_ns < b.ts_ns;
                          return a.tid < b.tid;
                      });
 
     json::Value events = json::Value::array();
-    for (const Tagged &t : all) {
-        const Event &ev = t.ev;
+    for (const Event &ev : all) {
         json::Value obj = json::Value::object();
         obj.set("name", json::Value::string(ev.name));
         obj.set("cat", json::Value::string(ev.cat));
-        obj.set("ph", json::Value::string(std::string(1, ev.ph)));
+        obj.set("ph", json::Value::string("X"));
         obj.set("ts", json::Value::number(
                           static_cast<double>(ev.ts_ns) / 1e3));
-        if (ev.ph == 'X')
-            obj.set("dur", json::Value::number(
-                               static_cast<double>(ev.dur_ns) / 1e3));
-        if (ev.ph == 'i')
-            obj.set("s", json::Value::string("t"));
+        obj.set("dur", json::Value::number(
+                           static_cast<double>(ev.dur_ns) / 1e3));
         obj.set("pid", json::Value::number(1));
-        obj.set("tid", json::Value::number(t.tid));
-        if (ev.arg0 >= 0 || ev.arg1 >= 0) {
-            json::Value args = json::Value::object();
-            if (ev.arg0 >= 0)
-                args.set("arg0", json::Value::number(ev.arg0));
-            if (ev.arg1 >= 0)
-                args.set("arg1", json::Value::number(ev.arg1));
-            obj.set("args", std::move(args));
-        }
+        obj.set("tid", json::Value::number(ev.tid));
         events.push(std::move(obj));
     }
     json::Value doc = json::Value::object();
@@ -272,11 +159,16 @@ Tracer::writeFile(const std::string &path, std::string &error) const
         error = "cannot open " + path + " for writing";
         return false;
     }
-    size_t written = std::fwrite(text.data(), 1, text.size(), f);
-    bool ok = written == text.size() && std::fclose(f) == 0;
-    if (!ok)
+    bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    // Close even after a short write, or the stream and its descriptor
+    // leak.
+    bool closed = std::fclose(f) == 0;
+    if (!written || !closed) {
         error = "short write to " + path;
-    return ok;
+        return false;
+    }
+    return true;
 }
 
 Tracer &

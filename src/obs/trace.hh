@@ -1,21 +1,21 @@
 /**
  * @file
- * Span tracing on per-thread ring buffers, dumped as Chrome
- * trace-event JSON (load the file in Perfetto / chrome://tracing).
+ * Span tracing into one bounded ring, dumped as Chrome trace-event
+ * JSON (load the file in Perfetto / chrome://tracing).
  *
  * The tracer answers the question metrics cannot: *where does the
  * time go inside one request* — searcher phases, service queue
- * waits, batch-replay sweeps — on a live process. Design
- * constraints, in order:
+ * waits — on a live process. Design constraints, in order:
  *
  * - *Near-zero cost when disabled.* Every record path starts with one
- *   relaxed atomic load and returns; `TraceSpan` does not even read
- *   the clock. Benches run with tracing off by default and must not
- *   regress (pinned by the fig7 acceptance bar).
- * - *Bounded memory, TSan-clean.* Each thread records into its own
- *   fixed-capacity ring (oldest events overwritten, drops counted)
- *   guarded by a per-ring mutex that is uncontended except while a
- *   dump walks the rings. No event ever allocates.
+ *   acquire load of the enabled flag and returns; `TraceSpan` does not
+ *   even read the clock. Benches run with tracing off by default and
+ *   must not regress (pinned by the fig7 acceptance bar).
+ * - *Bounded memory, TSan-clean.* Every thread records into one ring
+ *   under the tracer's mutex. The ring grows with recorded events up
+ *   to its capacity, then overwrites the oldest event first and counts
+ *   the drop. The traffic is a few hundred spans per second (searcher
+ *   phases and service request stages), so the one lock is cold.
  * - *Observability is invisible.* Recording never feeds back into a
  *   computation; enabling tracing cannot change a search result by a
  *   single bit (pinned by tests/test_obs.cc).
@@ -31,7 +31,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,15 +40,16 @@
 namespace dosa::obs {
 
 /**
- * The process-wide trace recorder. Threads register a private ring on
- * first record; `toJson()` merges all rings into one Chrome
- * trace-event document. Clocked on `steady_clock` relative to the
- * `enable()` epoch, so timestamps are monotone and start near zero.
+ * The process-wide trace recorder: one ring of complete ("X") events,
+ * each tagged with a small id of the thread that recorded it, which
+ * `toJson()` emits as one Chrome trace-event document. Clocked on
+ * `steady_clock` relative to the `enable()` epoch, so timestamps are
+ * monotone and start near zero.
  */
 class Tracer
 {
   public:
-    /** Default per-thread ring capacity, in events. */
+    /** Default ring capacity, in events, shared by all threads. */
     static constexpr size_t kDefaultCapacity = 1 << 16;
 
     Tracer() = default;
@@ -65,17 +65,14 @@ class Tracer
     /** Stop recording (already-recorded events stay dumpable). */
     void disable();
 
-    /** One relaxed load — the whole cost of a disabled record path. */
+    /** One acquire load — the whole cost of a disabled record path. */
     bool
     enabled() const
     {
         return enabled_.load(std::memory_order_acquire);
     }
 
-    /**
-     * Set the per-thread ring capacity (events). Takes effect for
-     * rings registered after the call; call before `enable()`.
-     */
+    /** Set the ring capacity (events); call before `enable()`. */
     void setCapacity(size_t events);
 
     /** Nanoseconds since the enable() epoch (0 when never enabled). */
@@ -84,18 +81,11 @@ class Tracer
     /** A steady_clock time point mapped onto the epoch timeline. */
     uint64_t sinceEpochNs(std::chrono::steady_clock::time_point t) const;
 
-    /**
-     * Record a complete span [start_ns, end_ns] on the calling
-     * thread's ring. Args < 0 are "absent" and omitted from the JSON.
-     */
+    /** Record a complete span [start_ns, end_ns] on the calling thread. */
     void recordSpan(const char *name, const char *cat, uint64_t start_ns,
-                    uint64_t end_ns, int64_t arg0 = -1, int64_t arg1 = -1);
+                    uint64_t end_ns);
 
-    /** Record an instant event at now. */
-    void recordInstant(const char *name, const char *cat,
-                       int64_t arg0 = -1);
-
-    /** Events currently retained across all rings. */
+    /** Events currently retained in the ring. */
     size_t eventCount() const;
 
     /** Events overwritten by ring wraparound since enable(). */
@@ -103,56 +93,36 @@ class Tracer
 
     /**
      * All retained events as a Chrome trace-event document:
-     * {"traceEvents":[{"name","cat","ph","ts","dur","pid","tid",...}]}
+     * {"traceEvents":[{"name","cat","ph","ts","dur","pid","tid"}]}
      * with timestamps in microseconds, events sorted by (ts, tid),
      * serialized canonically by util/json (parse-back is tested).
      */
     json::Value toJson() const;
 
     /**
-     * Write `toJson().dump()` to `path`. False + `error` on I/O
-     * failure.
+     * Write `toJson().dump()` to `path`. False + `error` when the
+     * open, the write or the close fails; the file is always closed.
      */
     [[nodiscard]] bool writeFile(const std::string &path,
                                  std::string &error) const;
 
   private:
-    /** One recorded event; "X" (complete) or "i" (instant). */
+    /** One recorded complete event. */
     struct Event
     {
         const char *name;
         const char *cat;
         uint64_t ts_ns;
-        uint64_t dur_ns; ///< 0 for instants
-        int64_t arg0;    ///< < 0 means absent
-        int64_t arg1;
-        char ph; ///< 'X' or 'i'
+        uint64_t dur_ns;
+        uint64_t tid; ///< small per-thread id, the Chrome `tid`
     };
 
-    /** A thread's private ring; mtx is uncontended except in dumps. */
-    struct Ring
-    {
-        util::Mutex mtx;
-        /** Event storage; capacity fixed at registration. */
-        std::vector<Event> events GUARDED_BY(mtx);
-        size_t next GUARDED_BY(mtx) = 0;       ///< overwrite cursor
-        uint64_t recorded GUARDED_BY(mtx) = 0; ///< events ever recorded
-        /** Stable small id for the JSON; written once at registration
-         *  (under the ring lock, pre-publication) then immutable. */
-        uint64_t tid GUARDED_BY(mtx) = 0;
-    };
-
-    Ring &threadRing();
-    void push(const Event &ev);
-
-    mutable util::Mutex mtx_; ///< guards rings_/capacity_/tids
-    std::vector<std::shared_ptr<Ring>> rings_ GUARDED_BY(mtx_);
+    mutable util::Mutex mtx_;
+    /** Grows to `capacity_`, then `next_` marks the oldest event. */
+    std::vector<Event> ring_ GUARDED_BY(mtx_);
+    size_t next_ GUARDED_BY(mtx_) = 0;
+    uint64_t dropped_ GUARDED_BY(mtx_) = 0;
     size_t capacity_ GUARDED_BY(mtx_) = kDefaultCapacity;
-    uint64_t next_tid_ GUARDED_BY(mtx_) = 1;
-    /** Stamped by enable() from a process-unique counter, so threads
-     *  re-register their rings (and never match a stale handle onto a
-     *  different Tracer instance at a recycled address). */
-    std::atomic<uint64_t> generation_{0};
     std::atomic<bool> enabled_{false};
     /** Epoch as ns on the steady_clock timeline (atomic: read by
      *  every recording thread, rewritten by enable()). */
@@ -166,14 +136,13 @@ Tracer &globalTracer();
  * RAII span on the global tracer: captures the start time at
  * construction (when tracing is enabled) and records one complete
  * event at destruction. A disabled tracer makes both ends a single
- * relaxed load. `name`/`cat` must be literals (see file comment).
+ * acquire load. `name`/`cat` must be literals (see file comment).
  */
 class TraceSpan
 {
   public:
-    explicit TraceSpan(const char *name, const char *cat = "dosa",
-                       int64_t arg0 = -1, int64_t arg1 = -1)
-        : name_(name), cat_(cat), arg0_(arg0), arg1_(arg1)
+    explicit TraceSpan(const char *name, const char *cat = "dosa")
+        : name_(name), cat_(cat)
     {
         Tracer &t = globalTracer();
         if (t.enabled()) {
@@ -189,24 +158,13 @@ class TraceSpan
     {
         if (active_) {
             Tracer &t = globalTracer();
-            t.recordSpan(name_, cat_, start_ns_, t.nowNs(), arg0_,
-                         arg1_);
+            t.recordSpan(name_, cat_, start_ns_, t.nowNs());
         }
-    }
-
-    /** Attach (or update) the args recorded at destruction. */
-    void
-    setArgs(int64_t arg0, int64_t arg1 = -1)
-    {
-        arg0_ = arg0;
-        arg1_ = arg1;
     }
 
   private:
     const char *name_;
     const char *cat_;
-    int64_t arg0_;
-    int64_t arg1_;
     uint64_t start_ns_ = 0;
     bool active_ = false;
 };

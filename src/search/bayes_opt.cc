@@ -44,11 +44,12 @@ struct TrainSet
 
 SearchResult
 detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
-                           const BayesOptConfig &cfg)
+                           const BayesOptConfig &cfg,
+                           SearchControl &control)
 {
     Rng rng(cfg.seed);
     SearchResult result;
-    result.control = cfg.control;
+    result.control = &control;
     if (cfg.pareto.active())
         result.frontier.configure(cfg.pareto);
     result.reserveTrace(static_cast<size_t>(cfg.total_samples));
@@ -97,14 +98,13 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
         return edp;
     };
 
-    if (cfg.control != nullptr)
-        cfg.control->phase("warmup");
+    control.phase("warmup");
     for (int sample = 0; sample < cfg.total_samples; ++sample) {
         // Cooperative cancellation/deadline poll, once per sample.
-        if (cfg.control != nullptr && cfg.control->stopRequested())
+        if (control.stopRequested())
             break;
-        if (cfg.control != nullptr && sample == cfg.warmup_samples)
-            cfg.control->phase("guided");
+        if (sample == cfg.warmup_samples)
+            control.phase("guided");
         HardwareConfig hw;
         std::vector<Mapping> maps(layers.size());
 

@@ -45,12 +45,6 @@ struct BayesOptConfig
      */
     LatencyScorer scorer;
     /**
-     * Cooperative run control (cancellation, deadline, sample budget,
-     * streaming callbacks), installed by the `src/api` driver — leave
-     * null when calling the searcher directly. Not owned.
-     */
-    SearchControl *control = nullptr;
-    /**
      * Multi-objective axes. When a second axis is enabled
      * (`pareto.active()`), the search also maintains the Pareto front
      * over the enabled axes in `SearchResult::frontier`; otherwise
@@ -63,11 +57,12 @@ namespace detail {
 
 /**
  * Canonical BO co-search over the unique layers of a network, behind
- * the registered "bayesopt" searcher; honors `cfg.control`. Call
- * `runSearch` instead.
+ * the registered "bayesopt" searcher; runs under the driver's
+ * `control`. Call `runSearch` instead.
  */
 SearchResult bayesOptSearchImpl(const std::vector<Layer> &layers,
-                                const BayesOptConfig &cfg);
+                                const BayesOptConfig &cfg,
+                                SearchControl &control);
 
 } // namespace detail
 

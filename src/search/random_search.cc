@@ -44,7 +44,7 @@ struct HwOutcome
 HwOutcome
 sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
                int samples, Rng rng, const LatencyScorer &scorer,
-               const SearchControl *control,
+               const SearchControl &control,
                const ParetoObjectives &pareto)
 {
     HwOutcome out;
@@ -66,7 +66,7 @@ sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
 
     for (int s = 0; s < samples; ++s) {
         // Cooperative cancellation/deadline poll, once per sample.
-        if (control != nullptr && control->stopRequested())
+        if (control.stopRequested())
             break;
         // One sample: a fresh mapping per layer (drawn before any
         // evaluation; the draw order defines the RNG stream).
@@ -121,10 +121,11 @@ sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
 
 SearchResult
 detail::randomSearchImpl(const std::vector<Layer> &layers,
-                         const RandomSearchConfig &cfg)
+                         const RandomSearchConfig &cfg,
+                         SearchControl &control)
 {
     SearchResult result;
-    result.control = cfg.control;
+    result.control = &control;
     if (cfg.pareto.active())
         result.frontier.configure(cfg.pareto);
     result.reserveTrace(static_cast<size_t>(cfg.hw_designs) *
@@ -133,25 +134,22 @@ detail::randomSearchImpl(const std::vector<Layer> &layers,
 
     // Hardware design h draws everything (its own config plus all of
     // its mapping samples) from stream (seed, h).
-    if (cfg.control != nullptr)
-        cfg.control->phase("sampling");
+    control.phase("sampling");
     auto outcomes = pool.parallelMap(
             static_cast<size_t>(cfg.hw_designs), [&](size_t h) {
         Rng rng = Rng::stream(cfg.seed, h);
         HardwareConfig hw = randomHardware(rng);
         return sampleHardware(layers, hw, cfg.mappings_per_hw,
-                std::move(rng), cfg.scorer, cfg.control, cfg.pareto);
+                std::move(rng), cfg.scorer, control, cfg.pareto);
     });
 
     // Serial merge in design order (trace convention; mergeOutcome
     // keeps strict-< tie-breaking and design/trace consistency).
-    if (cfg.control != nullptr)
-        cfg.control->phase("merge");
+    control.phase("merge");
     for (const HwOutcome &o : outcomes) {
         // Hard stop only: a deadline hit during the fan-out must not
         // discard the samples the designs already computed.
-        if (cfg.control != nullptr &&
-            cfg.control->recordingStopped())
+        if (control.recordingStopped())
             break;
         result.mergeOutcome(o.sample_edp, o.best_edp, o.hw, o.best,
                 o.candidates);
@@ -162,17 +160,17 @@ detail::randomSearchImpl(const std::vector<Layer> &layers,
 SearchResult
 detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
                                const HardwareConfig &hw,
-                               const MapperConfig &cfg)
+                               const MapperConfig &cfg,
+                               SearchControl &control)
 {
     SearchResult result;
-    result.control = cfg.control;
+    result.control = &control;
     if (cfg.pareto.active())
         result.frontier.configure(cfg.pareto);
     const double area_mm2 = cfg.pareto.active() ? configAreaMm2(hw) : 0.0;
     result.reserveTrace(static_cast<size_t>(cfg.samples));
     ThreadPool pool(cfg.jobs);
-    if (cfg.control != nullptr)
-        cfg.control->phase("sampling");
+    control.phase("sampling");
 
     /** One sample: a mapping per layer plus its evaluation. */
     struct Sample
@@ -195,7 +193,7 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
 
     for (size_t chunk = 0; chunk < static_cast<size_t>(cfg.samples);
          chunk += kChunk) {
-        if (cfg.control != nullptr && cfg.control->stopRequested())
+        if (control.stopRequested())
             break;
         size_t n = std::min(kChunk,
                 static_cast<size_t>(cfg.samples) - chunk);
@@ -220,7 +218,7 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
         // Serial incumbent reduction in sample order (hard stop
         // only: computed samples survive an expired deadline).
         for (Sample &sample : drawn) {
-            if (cfg.control != nullptr && cfg.control->recordingStopped())
+            if (control.recordingStopped())
                 break;
             for (size_t li = 0; li < layers.size(); ++li) {
                 if (sample.edp[li] < best_layer_edp[li]) {

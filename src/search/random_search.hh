@@ -37,12 +37,6 @@ struct RandomSearchConfig
      */
     LatencyScorer scorer;
     /**
-     * Cooperative run control (cancellation, deadline, sample budget,
-     * streaming callbacks), installed by the `src/api` driver — leave
-     * null when calling the searcher directly. Not owned.
-     */
-    SearchControl *control = nullptr;
-    /**
      * Multi-objective axes. When a second axis is enabled
      * (`pareto.active()`), the search also maintains the Pareto front
      * over the enabled axes in `SearchResult::frontier`; otherwise
@@ -66,8 +60,6 @@ struct MapperConfig
      * mapping). Empty = reference-model latency.
      */
     LatencyScorer scorer;
-    /** Cooperative run control (see RandomSearchConfig). Not owned. */
-    SearchControl *control = nullptr;
     /** Multi-objective axes (see RandomSearchConfig). */
     ParetoObjectives pareto;
 };
@@ -76,21 +68,24 @@ namespace detail {
 
 /**
  * Canonical random hardware+mapping co-search behind the registered
- * "random" searcher; honors `cfg.control`. One sample = one mapping
- * per layer on one hardware design. Call `runSearch` instead.
+ * "random" searcher; runs under the driver's `control`. One sample =
+ * one mapping per layer on one hardware design. Call `runSearch`
+ * instead.
  */
 SearchResult randomSearchImpl(const std::vector<Layer> &layers,
-                              const RandomSearchConfig &cfg);
+                              const RandomSearchConfig &cfg,
+                              SearchControl &control);
 
 /**
  * Canonical fixed-hardware mapper behind the registered "mapper"
- * searcher; honors `cfg.control`. Draws `cfg.samples` random valid
- * mappings per layer on `hw` and keeps the best mapping per layer by
- * per-layer EDP. Call `runSearch` instead.
+ * searcher; runs under the driver's `control`. Draws `cfg.samples`
+ * random valid mappings per layer on `hw` and keeps the best mapping
+ * per layer by per-layer EDP. Call `runSearch` instead.
  */
 SearchResult randomMapperSearchImpl(const std::vector<Layer> &layers,
                                     const HardwareConfig &hw,
-                                    const MapperConfig &cfg);
+                                    const MapperConfig &cfg,
+                                    SearchControl &control);
 
 } // namespace detail
 

@@ -340,12 +340,12 @@ struct SearchResult
     ParetoFront frontier;
     /**
      * Cooperative run control installed by the `src/api` driver
-     * (null when a searcher runs standalone). Not owned. Every
-     * `record()` reports through it, and samples recorded after a
-     * hard stop (cancellation / exhausted sample budget) are
-     * dropped, so such a trace ends within one sample of the
-     * trigger; samples computed before an expired deadline are
-     * still recorded.
+     * (null once `runSearch` returns, and in results built outside a
+     * search). Not owned. Every `record()` reports through it, and
+     * samples recorded after a hard stop (cancellation / exhausted
+     * sample budget) are dropped, so such a trace ends within one
+     * sample of the trigger; samples computed before an expired
+     * deadline are still recorded.
      */
     SearchControl *control = nullptr;
 

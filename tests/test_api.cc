@@ -68,7 +68,7 @@ class StubSearcher : public Searcher
         return 1;
     }
 
-    SearchReport run(const SearchSpec &, SearchControl *) const override
+    SearchReport run(const SearchSpec &, SearchControl &) const override
     {
         return {};
     }
