@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <limits>
 #include <mutex>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -232,6 +234,25 @@ validateSpec(const SearchSpec &spec, std::string &error)
     }
     if (spec.budget.max_samples < 0 || spec.budget.deadline_s < 0.0) {
         error = "search budget limits must be non-negative";
+        return false;
+    }
+    // A PE dimension below 1 leaves no spatial factor to draw (the
+    // mapper's random draw, DOSA's start mappings), and a capacity
+    // below 1 KiB fits no tile.
+    const std::pair<const char *, int64_t> hw_sizes[] = {
+            {"fixed_hw.pe_dim", spec.fixed_hw.pe_dim},
+            {"fixed_hw.accum_kib", spec.fixed_hw.accum_kib},
+            {"fixed_hw.spad_kib", spec.fixed_hw.spad_kib}};
+    for (const auto &[field, value] : hw_sizes) {
+        if (value < 1) {
+            error = std::string("search spec ") + field +
+                    " must be >= 1 (got " + std::to_string(value) + ")";
+            return false;
+        }
+    }
+    if (spec.mode.fix_pe && spec.mode.pe_dim < 1) {
+        error = "search spec mode.pe_dim must be >= 1 when mode.fix_pe "
+                "is set (got " + std::to_string(spec.mode.pe_dim) + ")";
         return false;
     }
     const ParetoObjectives &pareto = spec.mode.pareto;

@@ -4,6 +4,7 @@
  */
 #include "mapping/mapping.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/divisors.hh"
@@ -96,38 +97,54 @@ Mapping::str() const
     return os.str();
 }
 
+LayerLattices
+layerLattices(const Layer &layer)
+{
+    LayerLattices out;
+    for (Dim d : kAllDims)
+        out[size_t(d)] = &divisorLattice(layer.size(d));
+    return out;
+}
+
 Mapping
 randomMapping(const Layer &layer, Rng &rng, int64_t pe_cap)
 {
+    return randomMapping(layerLattices(layer), rng, pe_cap);
+}
+
+Mapping
+randomMapping(const LayerLattices &lattices, Rng &rng, int64_t pe_cap)
+{
+    if (pe_cap < 1)
+        panic("randomMapping: pe_cap must be >= 1");
     Mapping m;
-    // Spatial factors: random divisors bounded by the PE cap.
-    {
-        const auto &cdivs = divisorsOf(layer.c);
-        std::vector<int64_t> ok;
-        for (int64_t d : cdivs)
-            if (d <= pe_cap)
-                ok.push_back(d);
-        m.factors.spatial_c = ok[size_t(rng.uniformInt(0,
-                static_cast<int64_t>(ok.size()) - 1))];
-    }
-    {
-        const auto &kdivs = divisorsOf(layer.k);
-        std::vector<int64_t> ok;
-        for (int64_t d : kdivs)
-            if (d <= pe_cap)
-                ok.push_back(d);
-        m.factors.spatial_k = ok[size_t(rng.uniformInt(0,
-                static_cast<int64_t>(ok.size()) - 1))];
-    }
+    // Where each dimension's temporal split starts: the lattice row of
+    // its size divided by its spatial factor (the top row, n itself,
+    // when it has none).
+    std::array<size_t, kNumDims> residual_row;
+    for (Dim d : kAllDims)
+        residual_row[size_t(d)] =
+                lattices[size_t(d)]->divisors().size() - 1;
+    // Spatial factors: a random divisor bounded by the PE cap, drawn as
+    // an index into the sorted list's `<= pe_cap` prefix. Divisors pair
+    // up, so n / divisors[i] sits at row size - 1 - i.
+    auto spatial = [&](Dim d) {
+        const std::vector<int64_t> &divs = lattices[size_t(d)]->divisors();
+        const int64_t fits =
+                std::upper_bound(divs.begin(), divs.end(), pe_cap) -
+                divs.begin();
+        const size_t i = size_t(rng.uniformInt(0, fits - 1));
+        residual_row[size_t(d)] -= i;
+        return divs[i];
+    };
+    m.factors.spatial_c = spatial(Dim::C);
+    m.factors.spatial_k = spatial(Dim::K);
     // Temporal factors: split the residual of each dimension across the
     // four levels.
+    std::array<int64_t, kNumLevels> split;
     for (Dim d : kAllDims) {
-        int64_t residual = layer.size(d);
-        if (d == Dim::C)
-            residual /= m.factors.spatial_c;
-        if (d == Dim::K)
-            residual /= m.factors.spatial_k;
-        auto split = randomFactorSplit(residual, kNumLevels, rng);
+        randomFactorSplit(*lattices[size_t(d)], residual_row[size_t(d)],
+                split, rng);
         for (int lvl = 0; lvl < kNumLevels; ++lvl)
             m.factors.t(lvl, d) = split[size_t(lvl)];
     }

@@ -27,6 +27,7 @@
 
 namespace dosa {
 
+class DivisorLattice;
 class Rng;
 
 /** Canonical per-level loop orderings (Section 5.2). */
@@ -151,13 +152,31 @@ struct Mapping
 };
 
 /**
+ * The divisor lattices of a layer's seven dimension sizes, indexed by
+ * Dim, borrowed from the calling thread's divisor memo: like the memo's
+ * entries they must stay on that thread.
+ */
+using LayerLattices = std::array<DivisorLattice *, kNumDims>;
+
+/** Look up a layer's lattices: one memo probe per dimension. */
+LayerLattices layerLattices(const Layer &layer);
+
+/**
  * Generate an unconstrained random complete mapping for a layer: every
  * dimension's size is randomly factor-split across the levels, spatial
- * factors are random divisors bounded by `pe_cap`, and each level gets
- * a random ordering.
+ * factors are random divisors bounded by `pe_cap` (>= 1), and each
+ * level gets a random ordering.
  */
 Mapping randomMapping(const Layer &layer, Rng &rng,
                       int64_t pe_cap = kMaxPeDim);
+
+/**
+ * As above over the layer's already looked-up lattices, so a
+ * rejection loop probes the memo once per layer rather than once per
+ * draw. Allocates nothing once the lattice rows it walks are built.
+ */
+Mapping randomMapping(const LayerLattices &lattices, Rng &rng,
+                      int64_t pe_cap);
 
 /** Total temporal+spatial factor count used as the GD variable count. */
 constexpr int kFactorsPerLayer = kNumDims * (kNumLevels - 1) + 2;

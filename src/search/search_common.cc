@@ -113,8 +113,9 @@ Mapping
 randomValidMapping(const Layer &layer, const HardwareConfig &hw, Rng &rng,
                    int max_tries)
 {
+    const LayerLattices lattices = layerLattices(layer);
     for (int i = 0; i < max_tries; ++i) {
-        Mapping m = randomMapping(layer, rng, hw.pe_dim);
+        Mapping m = randomMapping(lattices, rng, hw.pe_dim);
         if (referenceFits(layer, m, hw))
             return m;
     }

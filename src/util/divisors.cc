@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-thread memoized divisor queries for mapping construction and
+ * Per-thread memoized divisor lattices for mapping construction and
  * rounding.
  */
 #include "util/divisors.hh"
@@ -34,22 +34,43 @@ computeDivisors(int64_t n)
 
 } // namespace
 
-const std::vector<int64_t> &
-divisorsOf(int64_t n)
+DivisorLattice::DivisorLattice(int64_t n)
+    : divs_(computeDivisors(n)), rows_(divs_.size())
+{
+}
+
+const std::vector<uint32_t> &
+DivisorLattice::row(size_t i)
+{
+    std::vector<uint32_t> &out = rows_[i];
+    if (out.empty()) {
+        const int64_t m = divs_[i];
+        for (size_t j = 0; j <= i; ++j)
+            if (m % divs_[j] == 0)
+                out.push_back(static_cast<uint32_t>(j));
+    }
+    return out;
+}
+
+DivisorLattice &
+divisorLattice(int64_t n)
 {
     if (n < 1)
-        panic("divisorsOf: n must be >= 1");
+        panic("divisorLattice: n must be >= 1");
     // One memo per thread: a lookup takes no lock and writes no shared
     // cache line. A fig7 run makes tens of millions of lookups over a
-    // few dozen keys, so each thread rebuilds its handful of lists
+    // few dozen keys, so each thread rebuilds its handful of lattices
     // almost for free. Entries are never erased and unordered_map
     // never moves its elements, so a returned reference stays valid
     // until the calling thread exits.
-    thread_local std::unordered_map<int64_t, std::vector<int64_t>> memo;
-    auto it = memo.find(n);
-    if (it == memo.end())
-        it = memo.emplace(n, computeDivisors(n)).first;
-    return it->second;
+    thread_local std::unordered_map<int64_t, DivisorLattice> memo;
+    return memo.try_emplace(n, n).first->second;
+}
+
+const std::vector<int64_t> &
+divisorsOf(int64_t n)
+{
+    return divisorLattice(n).divisors();
 }
 
 int64_t
@@ -148,20 +169,21 @@ DivisorQuota::takeAtMost(double target, int64_t cap)
     return best;
 }
 
-std::vector<int64_t>
-randomFactorSplit(int64_t n, int parts, Rng &rng)
+void
+randomFactorSplit(DivisorLattice &lattice, size_t row,
+                  std::span<int64_t> out, Rng &rng)
 {
-    std::vector<int64_t> out(static_cast<size_t>(parts), 1);
-    int64_t remaining = n;
-    for (int i = 0; i < parts - 1; ++i) {
-        const auto &divs = divisorsOf(remaining);
-        int64_t pick = divs[static_cast<size_t>(rng.uniformInt(0,
-                static_cast<int64_t>(divs.size()) - 1))];
-        out[static_cast<size_t>(i)] = pick;
-        remaining /= pick;
+    if (out.empty())
+        panic("randomFactorSplit: need at least one part");
+    const std::vector<int64_t> &divs = lattice.divisors();
+    for (size_t i = 0; i + 1 < out.size(); ++i) {
+        const std::vector<uint32_t> &sub = lattice.row(row);
+        const size_t k = static_cast<size_t>(rng.uniformInt(0,
+                static_cast<int64_t>(sub.size()) - 1));
+        out[i] = divs[sub[k]];
+        row = sub[sub.size() - 1 - k]; // the quotient's row
     }
-    out[static_cast<size_t>(parts - 1)] = remaining;
-    return out;
+    out.back() = divs[row];
 }
 
 } // namespace dosa

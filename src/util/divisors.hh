@@ -6,15 +6,16 @@
  * size, so every factor manipulation in the mapspace reduces to divisor
  * queries on (usually small) integers. The same few dozen dimension
  * sizes recur across millions of mapping evaluations, so each thread
- * keeps its own memo of divisor lists: a lookup takes no lock and
- * writes nothing another thread reads, which is what lets the parallel
- * searchers scale.
+ * keeps its own memo with one DivisorLattice per size: a lookup takes
+ * no lock and writes nothing another thread reads, which is what lets
+ * the parallel searchers scale.
  */
 
 #ifndef DOSA_UTIL_DIVISORS_HH
 #define DOSA_UTIL_DIVISORS_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dosa {
@@ -22,10 +23,46 @@ namespace dosa {
 class Rng;
 
 /**
- * Return the sorted list of positive divisors of n (n >= 1), from the
- * calling thread's memo. The reference stays valid, and the list
- * unchanged, until the calling thread exits; do not hand it to another
- * thread that may outlive this one.
+ * The divisors of one n (n >= 1) and, per divisor, its own divisors.
+ *
+ * Row i lists the divisors of divisors()[i] as ascending indices into
+ * divisors(). Divisors pair up around their product, so a row read
+ * back to front lists the quotients: for a row of length L, entry
+ * L - 1 - k is the index of divisors()[i] / divisors()[row[k]]. A walk
+ * from a row to a quotient's row therefore factors any divisor of n
+ * without another memo probe. Rows are built on first use, so a
+ * lattice costs what its walks visit, never the whole
+ * sum-of-divisor-counts up front.
+ */
+class DivisorLattice
+{
+  public:
+    /** Compute n's sorted divisor list; rows stay unbuilt. */
+    explicit DivisorLattice(int64_t n);
+
+    /** Sorted positive divisors of n. */
+    const std::vector<int64_t> &divisors() const { return divs_; }
+
+    /** Row i: the divisors of divisors()[i], as ascending indices. */
+    const std::vector<uint32_t> &row(size_t i);
+
+  private:
+    std::vector<int64_t> divs_;
+    /** Per divisor; empty until built (a built row holds index 0). */
+    std::vector<std::vector<uint32_t>> rows_;
+};
+
+/**
+ * The lattice of n (n >= 1) from the calling thread's memo. The
+ * reference stays valid until the calling thread exits; do not hand
+ * it to another thread that may outlive this one, or that may use it
+ * while this one does.
+ */
+DivisorLattice &divisorLattice(int64_t n);
+
+/**
+ * Return the sorted list of positive divisors of n (n >= 1): the
+ * divisors() of its memoized lattice, under the same lifetime rule.
  */
 const std::vector<int64_t> &divisorsOf(int64_t n);
 
@@ -47,11 +84,15 @@ int64_t nearestDivisorAtMost(int64_t n, double target, int64_t cap);
 int64_t largestDivisorAtMost(int64_t n, int64_t cap);
 
 /**
- * Split n into `parts` integer factors whose product is exactly n,
- * drawn uniformly-ish at random by repeatedly sampling a divisor of the
- * remaining quota. Used by random-mapping generation.
+ * Split m = lattice.divisors()[row] into out.size() >= 1 integer
+ * factors whose product is exactly m, drawn uniformly-ish at random:
+ * each factor but the last is a uniform pick among the divisors of the
+ * quota still left, and the last takes what remains. Used by
+ * random-mapping generation; it walks the lattice and allocates
+ * nothing once the visited rows are built.
  */
-std::vector<int64_t> randomFactorSplit(int64_t n, int parts, Rng &rng);
+void randomFactorSplit(DivisorLattice &lattice, size_t row,
+                       std::span<int64_t> out, Rng &rng);
 
 /**
  * Divisor-quota chain over one dimension size: rounding walks a chain

@@ -8,11 +8,35 @@
 
 namespace dosa {
 
-int64_t
-Rng::uniformInt(int64_t lo, int64_t hi)
+Mt19937_64::Mt19937_64(uint64_t seed)
 {
-    std::uniform_int_distribution<int64_t> dist(lo, hi);
-    return dist(engine_);
+    state_[0] = seed;
+    for (size_t i = 1; i < kStateSize; ++i) {
+        uint64_t x = state_[i - 1];
+        state_[i] = (x ^ (x >> 62)) * 6364136223846793005ull + i;
+    }
+}
+
+void
+Mt19937_64::twist()
+{
+    constexpr size_t kShift = 156;
+    constexpr uint64_t kUpper = ~uint64_t(0) << 31;
+    constexpr uint64_t kMatrix = 0xb5026f5aa96619e9ull;
+    // Word k mixes the top 33 bits of x[k], the low 31 bits of
+    // x[k + 1] and all of x[k + 156], indices mod 312.
+    auto next = [](uint64_t hi, uint64_t lo, uint64_t far) {
+        uint64_t y = (hi & kUpper) | (lo & ~kUpper);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+    };
+    size_t k = 0;
+    for (; k < kStateSize - kShift; ++k)
+        state_[k] = next(state_[k], state_[k + 1], state_[k + kShift]);
+    for (; k < kStateSize - 1; ++k)
+        state_[k] = next(state_[k], state_[k + 1],
+                state_[k + kShift - kStateSize]);
+    state_[k] = next(state_[k], state_[0], state_[kShift - 1]);
+    pos_ = 0;
 }
 
 double
@@ -70,7 +94,7 @@ Rng
 Rng::stream(uint64_t seed, uint64_t stream_id)
 {
     // Two mixing rounds so nearby (seed, stream) pairs land far apart
-    // in the mt19937_64 seed space.
+    // in the MT19937-64 seed space.
     return Rng(splitmix64(splitmix64(seed) ^ splitmix64(~stream_id)));
 }
 

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/search_api.hh"
@@ -411,6 +412,46 @@ TEST(ApiSpecValidation, RejectsNumbersThatWouldLeaveInt)
                 std::string::npos)
                 << error;
     }
+}
+
+TEST(ApiSpecValidation, RejectsHardwareSizesBelowOne)
+{
+    // A mapper spec with fixed_hw.pe_dim 0 or -4 used to crash in the
+    // random mapping draw (an empty spatial-divisor list), and a dosa
+    // spec with mode.fix_pe and pe_dim 0 aborted in its start
+    // generation. Every hardware size below 1 is now rejected with
+    // an error naming its field.
+    const std::pair<const char *, int64_t HardwareConfig::*> fields[] = {
+            {"fixed_hw.pe_dim", &HardwareConfig::pe_dim},
+            {"fixed_hw.accum_kib", &HardwareConfig::accum_kib},
+            {"fixed_hw.spad_kib", &HardwareConfig::spad_kib}};
+    std::string error;
+    for (const auto &[field, member] : fields) {
+        for (int64_t value : {int64_t(0), int64_t(-4),
+                     std::numeric_limits<int64_t>::min()}) {
+            SearchSpec spec = goldenMapperSpec();
+            spec.fixed_hw.*member = value;
+            EXPECT_FALSE(validateSpec(spec, error))
+                    << field << " = " << value;
+            EXPECT_NE(error.find(field), std::string::npos) << error;
+        }
+        SearchSpec spec = goldenMapperSpec();
+        spec.fixed_hw.*member = 1;
+        EXPECT_TRUE(validateSpec(spec, error)) << field << ": " << error;
+    }
+
+    // mode.pe_dim sizes the array only when mode.fix_pe is set.
+    SearchSpec spec = goldenDosaSpec();
+    spec.mode.pe_dim = 0;
+    EXPECT_TRUE(validateSpec(spec, error)) << error;
+    spec.mode.fix_pe = true;
+    for (int64_t value : {int64_t(0), int64_t(-4)}) {
+        spec.mode.pe_dim = value;
+        EXPECT_FALSE(validateSpec(spec, error)) << value;
+        EXPECT_NE(error.find("mode.pe_dim"), std::string::npos) << error;
+    }
+    spec.mode.pe_dim = 1;
+    EXPECT_TRUE(validateSpec(spec, error)) << error;
 }
 
 TEST(ApiOptionDomain, EveryOptionRunsAtItsBoundsAndRejectsPastThem)

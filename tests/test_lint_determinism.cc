@@ -56,10 +56,17 @@ TEST(LintRules, RawRngFiresOnEverySpellingWithExactLines)
         lintFile("src/search/fixture_raw_rng.cc",
                  readFile(fixturesDir() + "/fixture_raw_rng.cc"));
     std::vector<std::pair<int, std::string>> expected = {
-        {6, "raw-rng"}, // srand
-        {7, "raw-rng"}, // rand
-        {8, "raw-rng"}, // random_device
-        {9, "raw-rng"}, // drand48
+        {7, "raw-rng"},  // srand
+        {8, "raw-rng"},  // rand
+        {9, "raw-rng"},  // random_device
+        {10, "raw-rng"}, // drand48
+        {11, "raw-rng"}, // mt19937
+        {12, "raw-rng"}, // mt19937_64
+        {13, "raw-rng"}, // minstd_rand0
+        {14, "raw-rng"}, // minstd_rand
+        {15, "raw-rng"}, // ranlux48_base
+        {16, "raw-rng"}, // knuth_b
+        {17, "raw-rng"}, // default_random_engine
     };
     EXPECT_EQ(lineRules(findings), expected);
     ASSERT_FALSE(findings.empty());

@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit and property tests for mappings: completeness, random
- * generation, divisor-quota rounding and ordering semantics.
+ * generation (draw for draw against the per-factor-lookup algorithm),
+ * divisor-quota rounding and ordering semantics.
  */
 
 #include <gtest/gtest.h>
 
 #include "mapping/mapping.hh"
 #include "mapping/rounding.hh"
+#include "model/reference.hh"
+#include "search/search_common.hh"
+#include "util/divisors.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
+#include "workload/workload_registry.hh"
 
 namespace dosa {
 namespace {
@@ -152,6 +157,95 @@ INSTANTIATE_TEST_SUITE_P(Networks, RandomMappingProperty,
                           RandomMappingCase{"unet", 3},
                           RandomMappingCase{"retinanet", 4},
                           RandomMappingCase{"deepbench", 5}));
+
+/**
+ * Reference draw that looks every divisor list up by value: spatial
+ * factors picked from a filtered copy of divisorsOf, and each temporal
+ * factor from divisorsOf of the quota still left. randomMapping, which
+ * walks divisor lattices instead, must equal it draw for draw.
+ */
+Mapping
+perFactorLookupMapping(const Layer &layer, Rng &rng, int64_t pe_cap)
+{
+    Mapping m;
+    auto spatial = [&](int64_t n) {
+        std::vector<int64_t> ok;
+        for (int64_t d : divisorsOf(n))
+            if (d <= pe_cap)
+                ok.push_back(d);
+        return ok[size_t(rng.uniformInt(0, int64_t(ok.size()) - 1))];
+    };
+    m.factors.spatial_c = spatial(layer.c);
+    m.factors.spatial_k = spatial(layer.k);
+    for (Dim d : kAllDims) {
+        int64_t remaining = layer.size(d);
+        if (d == Dim::C)
+            remaining /= m.factors.spatial_c;
+        if (d == Dim::K)
+            remaining /= m.factors.spatial_k;
+        for (int lvl = 0; lvl + 1 < kNumLevels; ++lvl) {
+            const std::vector<int64_t> &divs = divisorsOf(remaining);
+            const int64_t pick = divs[size_t(rng.uniformInt(0,
+                    int64_t(divs.size()) - 1))];
+            m.factors.t(lvl, d) = pick;
+            remaining /= pick;
+        }
+        m.factors.t(kNumLevels - 1, d) = remaining;
+    }
+    for (int lvl = kAccumulator; lvl < kNumLevels; ++lvl)
+        m.order[size_t(lvl)] =
+                static_cast<LoopOrder>(rng.uniformInt(0, kNumOrders - 1));
+    return m;
+}
+
+TEST(RandomMapping, EqualsPerFactorLookupDrawOnEveryRegisteredLayer)
+{
+    // Every layer of every registered workload (the zoo, deepbench and
+    // the LLM built-ins), four PE caps, several seeds: the same
+    // mappings and the same next raw draw. randomValidMapping must
+    // equal the same rejection loop over the reference draw; the small
+    // buffers make it reject often.
+    size_t layers = 0;
+    for (const std::string &name : Workloads::names()) {
+        for (const Layer &layer : Workloads::find(name)->layers) {
+            ++layers;
+            for (int64_t pe_cap : {1, 4, 16, 128}) {
+                const HardwareConfig hw{pe_cap, 8, 16};
+                for (uint64_t seed = 0; seed < 12; ++seed) {
+                    Rng rng = Rng::stream(seed, layers);
+                    Rng reference = rng;
+                    for (int draw = 0; draw < 3; ++draw)
+                        ASSERT_EQ(randomMapping(layer, rng, pe_cap),
+                                perFactorLookupMapping(layer, reference,
+                                        pe_cap))
+                                << name << " " << layer.str() << " cap "
+                                << pe_cap << " seed " << seed;
+                    Mapping expected = minimalMapping(layer);
+                    for (int i = 0; i < 64; ++i) {
+                        Mapping m = perFactorLookupMapping(layer,
+                                reference, pe_cap);
+                        if (referenceFits(layer, m, hw)) {
+                            expected = m;
+                            break;
+                        }
+                    }
+                    ASSERT_EQ(randomValidMapping(layer, hw, rng), expected)
+                            << name << " " << layer.str() << " cap "
+                            << pe_cap << " seed " << seed;
+                    ASSERT_EQ(rng.engine()(), reference.engine()())
+                            << name << " " << layer.str();
+                }
+            }
+        }
+    }
+    EXPECT_GT(layers, 100u);
+}
+
+TEST(RandomMappingDeathTest, PeCapBelowOneIsFatal)
+{
+    Rng rng(1);
+    EXPECT_DEATH(randomMapping(smallLayer(), rng, 0), "pe_cap");
+}
 
 TEST(Rounding, ExactFactorsPassThrough)
 {

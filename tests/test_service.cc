@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/search_api.hh"
@@ -188,8 +189,14 @@ randomSpec(Rng &rng)
     spec.budget.deadline_s = rng.bernoulli(0.5)
             ? 0.0
             : rng.uniformReal(1e-17, 1e6);
+    // Hardware sizes: one draw in five is below 1, which the codec
+    // must carry and validateSpec must reject.
+    auto size = [&rng](int64_t hi) {
+        return rng.bernoulli(0.2) ? rng.uniformInt(-64, 0)
+                                  : rng.uniformInt(1, hi);
+    };
     spec.mode.fix_pe = rng.bernoulli(0.5);
-    spec.mode.pe_dim = rng.uniformInt(1, 64);
+    spec.mode.pe_dim = size(64);
     spec.mode.penalty_weight = rng.uniformReal(1e-9, 1e3);
     spec.mode.max_area_mm2 = rng.bernoulli(0.5)
             ? 0.0
@@ -221,15 +228,16 @@ randomSpec(Rng &rng)
             spec.options.set(std::string(option.key),
                     exotic[rng.uniformInt(0, 3)]);
         }
-    spec.fixed_hw.pe_dim = rng.uniformInt(1, 64);
-    spec.fixed_hw.accum_kib = rng.uniformInt(1, 4096);
-    spec.fixed_hw.spad_kib = rng.uniformInt(1, 4096);
+    spec.fixed_hw.pe_dim = size(64);
+    spec.fixed_hw.accum_kib = size(4096);
+    spec.fixed_hw.spad_kib = size(4096);
     return spec;
 }
 
 TEST(SpecJson, FuzzedSpecsRoundTripBitwise)
 {
     Rng rng(0xD05A5EED);
+    int bad_sizes = 0;
     for (int iter = 0; iter < 200; ++iter) {
         SearchSpec spec = randomSpec(rng);
         const std::string once = specToJson(spec);
@@ -241,7 +249,14 @@ TEST(SpecJson, FuzzedSpecsRoundTripBitwise)
         EXPECT_EQ(decoded.seed, spec.seed);
         EXPECT_EQ(decoded.budget.max_samples,
                 spec.budget.max_samples);
+        const HardwareConfig &hw = decoded.fixed_hw;
+        if (hw.pe_dim < 1 || hw.accum_kib < 1 || hw.spad_kib < 1 ||
+            (decoded.mode.fix_pe && decoded.mode.pe_dim < 1)) {
+            ++bad_sizes;
+            EXPECT_FALSE(validateSpec(decoded, error)) << once;
+        }
     }
+    EXPECT_GT(bad_sizes, 0);
 }
 
 TEST(SpecJson, RejectsUnknownKeysTypeMismatchesAndBadEnums)
@@ -632,6 +647,50 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     EXPECT_EQ(stats[2].requests, 5u); // search
     EXPECT_EQ(stats[2].errors, 4u);
     EXPECT_FALSE(stats[2].last_error.empty());
+}
+
+TEST(Service, HardwareSizesBelowOneGetBadSpecAndServingContinues)
+{
+    // Each of these specs took the process down before validateSpec
+    // checked hardware sizes: the mapper with fixed_hw.pe_dim 0 or -4
+    // (SIGSEGV in the random mapping draw) and dosa with mode.fix_pe
+    // and pe_dim 0 (a panic in start generation).
+    std::vector<std::pair<SearchSpec, std::string>> bad;
+    for (int64_t value : {int64_t(0), int64_t(-4)}) {
+        SearchSpec spec = goldenMapperSpec();
+        spec.fixed_hw.pe_dim = value;
+        bad.emplace_back(spec, "fixed_hw.pe_dim");
+    }
+    SearchSpec accum = goldenMapperSpec();
+    accum.fixed_hw.accum_kib = 0;
+    bad.emplace_back(accum, "fixed_hw.accum_kib");
+    SearchSpec spad = goldenRandomSpec();
+    spad.fixed_hw.spad_kib = -1;
+    bad.emplace_back(spad, "fixed_hw.spad_kib");
+    SearchSpec fixed_pe = goldenDosaSpec();
+    fixed_pe.mode.fix_pe = true;
+    fixed_pe.mode.pe_dim = 0;
+    bad.emplace_back(fixed_pe, "mode.pe_dim");
+
+    SearchService svc;
+    ServiceBus bus(svc);
+    ServiceBus::Client client = bus.connect();
+    for (size_t i = 0; i < bad.size(); ++i) {
+        const auto &[spec, field] = bad[i];
+        const std::string id = "hw" + std::to_string(i);
+        client.send(service::encodeSearchRequest(id, spec));
+        Frame f = terminalFrame(collectStream(client));
+        EXPECT_EQ(f.kind, Frame::Kind::Error) << field;
+        EXPECT_EQ(f.id, id);
+        EXPECT_EQ(f.code, service::errc::bad_spec) << field;
+        EXPECT_NE(f.message.find(field), std::string::npos) << f.message;
+        // The next search on the same connection still runs.
+        client.send(service::encodeSearchRequest("ok" + id,
+                goldenMapperSpec()));
+        f = terminalFrame(collectStream(client));
+        EXPECT_EQ(f.kind, Frame::Kind::Done) << f.message;
+        EXPECT_EQ(f.id, "ok" + id);
+    }
 }
 
 TEST(Service, StreamsAreByteIdenticalToDirectRunsAndGoldens)

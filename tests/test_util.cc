@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for util: RNG determinism and ranges, divisor arithmetic,
+ * Unit tests for util: RNG determinism, ranges and draw-for-draw
+ * equality with std::mt19937_64, divisor arithmetic and lattices,
  * table/CSV rendering and CLI parsing.
  */
 
@@ -9,7 +10,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <thread>
+#include <utility>
 
 #include "util/cli.hh"
 #include "util/divisors.hh"
@@ -18,6 +23,74 @@
 
 namespace dosa {
 namespace {
+
+/** The standard engine Rng's own engine must equal draw for draw. */
+// LINT-ALLOW(raw-rng): the std:: reference the house engine is checked against
+using StdEngine = std::mt19937_64;
+
+/** splitmix64, as Rng::stream mixes its (seed, stream) pair. */
+uint64_t
+splitmix64(uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    // 1,000 raw draws span four refills of the 312-word state. Seeds
+    // cover zero, all ones, the standard default (5489) and the
+    // seeds Rng::stream derives.
+    auto expectSame = [](Rng rng, uint64_t seed) {
+        StdEngine reference(seed);
+        for (int i = 0; i < 1000; ++i)
+            ASSERT_EQ(rng.engine()(), reference())
+                    << "seed " << seed << ", draw " << i;
+    };
+    for (uint64_t seed : {uint64_t(0), uint64_t(1), uint64_t(5489),
+                          uint64_t(0xD05A5EED), ~uint64_t(0)})
+        expectSame(Rng(seed), seed);
+    for (auto [seed, id] : {std::pair<uint64_t, uint64_t>{0, 0},
+                            {5, 3}, {42, 1}, {~uint64_t(0), 7}})
+        expectSame(Rng::stream(seed, id),
+                splitmix64(splitmix64(seed) ^ splitmix64(~id)));
+    static_assert(Mt19937_64::min() == StdEngine::min());
+    static_assert(Mt19937_64::max() == StdEngine::max());
+}
+
+TEST(Rng, DistributionsMatchStdOverMt19937_64)
+{
+    // Every draw helper must return what the std:: distribution
+    // returns over std::mt19937_64, and consume the same draws: the
+    // engines stay in step through the interleaved calls.
+    for (uint64_t seed : {uint64_t(3), uint64_t(77), uint64_t(0xD05A5EED)}) {
+        Rng rng(seed);
+        StdEngine reference(seed);
+        for (int i = 0; i < 500; ++i) {
+            const int64_t hi = i % 97;
+            ASSERT_EQ(rng.uniformInt(-3, hi),
+                    std::uniform_int_distribution<int64_t>(-3, hi)(
+                            reference));
+            ASSERT_EQ(rng.uniformInt(std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max()),
+                    std::uniform_int_distribution<int64_t>(
+                            std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max())(
+                            reference));
+            ASSERT_EQ(rng.uniformReal(-2.5, 7.0),
+                    std::uniform_real_distribution<double>(-2.5, 7.0)(
+                            reference));
+            ASSERT_EQ(rng.gaussian(1.0, 3.0),
+                    std::normal_distribution<double>(1.0, 3.0)(
+                            reference));
+            ASSERT_EQ(rng.bernoulli(0.3),
+                    std::bernoulli_distribution(0.3)(reference));
+        }
+        EXPECT_EQ(rng.engine()(), reference()) << "seed " << seed;
+    }
+}
 
 TEST(Rng, DeterministicForSameSeed)
 {
@@ -150,8 +223,9 @@ TEST(Divisors, ConcurrentLookupsMatchLocalReference)
 {
     // Eight threads hammer divisorsOf over overlapping keys; every list
     // each thread sees must equal a trial-division reference computed
-    // on that thread. Under TSan this pins that lookups share no
-    // mutable state.
+    // on that thread. Under TSan this pins that lookups, and the
+    // lattice rows each thread builds on first use, share no mutable
+    // state.
     constexpr int kThreads = 8;
     auto reference = [](int64_t n) {
         std::vector<int64_t> out;
@@ -159,6 +233,30 @@ TEST(Divisors, ConcurrentLookupsMatchLocalReference)
             if (n % d == 0)
                 out.push_back(d);
         return out;
+    };
+    // Each thread also builds the lattices of these sizes, starting
+    // at a different one: every row of n must list exactly divisorsOf
+    // of its divisor, and its mirror entries must be the quotients.
+    const int64_t lattice_sizes[] = {1, 2, 97, 3136, 50176, 720720,
+                                     int64_t(1) << 20};
+    constexpr size_t kLattices = std::size(lattice_sizes);
+    auto latticeMismatches = [](int64_t n) {
+        int bad = 0;
+        DivisorLattice &lattice = divisorLattice(n);
+        const std::vector<int64_t> &divs = lattice.divisors();
+        for (size_t i = 0; i < divs.size(); ++i) {
+            const std::vector<uint32_t> &row = lattice.row(i);
+            std::vector<int64_t> values;
+            for (size_t k = 0; k < row.size(); ++k) {
+                values.push_back(divs[row[k]]);
+                if (divs[row[k]] * divs[row[row.size() - 1 - k]] !=
+                    divs[i])
+                    ++bad;
+            }
+            if (values != divisorsOf(divs[i]))
+                ++bad;
+        }
+        return bad;
     };
     std::vector<int> mismatches(kThreads, 0);
     std::vector<std::thread> threads;
@@ -170,6 +268,9 @@ TEST(Divisors, ConcurrentLookupsMatchLocalReference)
                 if (divisorsOf(n) != reference(n))
                     mismatches[static_cast<size_t>(t)]++;
             }
+            for (size_t i = 0; i < kLattices; ++i)
+                mismatches[static_cast<size_t>(t)] += latticeMismatches(
+                        lattice_sizes[(i + size_t(t)) % kLattices]);
         });
     }
     for (std::thread &th : threads)
@@ -265,17 +366,25 @@ TEST(Divisors, QuotaTakeAtMostMatchesPerCallQueries)
 
 TEST(Divisors, RandomFactorSplitMultipliesBack)
 {
+    // Split every divisor m of n (each lattice row) into 1..6 parts;
+    // the parts must be divisors of m that multiply back to m.
     Rng rng(17);
     for (int64_t n : {1, 6, 56, 64, 720, 1024}) {
-        for (int parts : {1, 2, 3, 4, 6}) {
-            auto split = randomFactorSplit(n, parts, rng);
-            ASSERT_EQ(static_cast<int>(split.size()), parts);
-            int64_t prod = 1;
-            for (int64_t f : split) {
-                EXPECT_GE(f, 1);
-                prod *= f;
+        DivisorLattice &lattice = divisorLattice(n);
+        const std::vector<int64_t> &divs = lattice.divisors();
+        for (size_t row = 0; row < divs.size(); ++row) {
+            const int64_t m = divs[row];
+            for (size_t parts : {1, 2, 3, 4, 6}) {
+                std::vector<int64_t> split(parts, 0);
+                randomFactorSplit(lattice, row, split, rng);
+                int64_t prod = 1;
+                for (int64_t f : split) {
+                    EXPECT_GE(f, 1);
+                    EXPECT_EQ(m % f, 0) << "m=" << m;
+                    prod *= f;
+                }
+                EXPECT_EQ(prod, m) << "n=" << n << " parts=" << parts;
             }
-            EXPECT_EQ(prod, n);
         }
     }
 }

@@ -1,5 +1,5 @@
-// Fixture: mentions of rand() and clocks in comments and strings
-// must not trip the scanner.
+// Fixture: mentions of rand() and clocks in comments and strings, and
+// names that only contain an engine's name, must not trip the scanner.
 #include <string>
 
 /* block comment: srand(1); std::random_device; steady_clock::now() */
@@ -7,6 +7,8 @@ std::string docs()
 {
     std::string s = "call rand() then time(nullptr)";
     s += 'x';
+    int mt19937_calls = 0, Mt19937_64 = 0;
+    s += std::to_string(mt19937_calls + Mt19937_64);
     const char *raw = R"(unordered_map<int,int> and gettimeofday)";
     return s + raw; // rand(), clock_gettime in a line comment
 }

@@ -44,7 +44,9 @@ rules()
 {
     static const std::vector<Rule> table = {
         {"raw-rng",
-         R"(\b(rand|srand)\s*\(|\brandom_device\b|\b[dlm]rand48\b)",
+         R"(\b(rand|srand)\s*\(|\brandom_device\b|\b[dlm]rand48\b)"
+         R"(|\b(mt19937(_64)?|minstd_rand0?|ranlux\w*|knuth_b)\b)"
+         R"(|\bdefault_random_engine\b)",
          "raw RNG outside the house Rng (src/util/rng.hh); seed a "
          "deterministic stream via Rng::stream instead",
          [](const std::string &path) {

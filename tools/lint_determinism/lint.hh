@@ -8,9 +8,12 @@
  * Three tree rules plus two meta rules:
  *
  * - `raw-rng` — bans `rand()` / `srand()` / `std::random_device` /
- *   `*rand48` everywhere except the house Rng (`src/util/rng.hh`).
- *   Every random stream in the system must flow from a spec seed
- *   through `Rng::stream`, or serial==parallel breaks silently.
+ *   `*rand48` and the standard engines (`mt19937`, `mt19937_64`,
+ *   `minstd_rand0`, `minstd_rand`, `ranlux*`, `knuth_b`,
+ *   `default_random_engine`) everywhere except the house Rng
+ *   (`src/util/rng.hh`). Every random stream in the system must flow
+ *   from a spec seed through `Rng::stream`, or serial==parallel
+ *   breaks silently.
  * - `wall-clock` — bans wall/steady clock reads (`*_clock::now`,
  *   `time()`, `clock_gettime`, `gettimeofday`) outside the timing
  *   seams that own them: `src/obs/` (tracer timestamps, metric
