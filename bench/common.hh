@@ -123,8 +123,8 @@ struct Scale
 
 /**
  * Parse `--algo A` / `--algos A,B,...` and validate every name
- * against the searcher registry; an unknown name is fatal and lists
- * `Search::algorithms()`. "all" selects the whole registry.
+ * against the searcher table; an unknown name is fatal and lists
+ * `Search::algorithms()`. "all" selects every searcher.
  */
 inline std::vector<std::string>
 parseAlgos(const Cli &cli)

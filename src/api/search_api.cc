@@ -1,14 +1,12 @@
 /**
  * @file
- * Facade driver: searcher registry storage, spec validation and the
- * `runSearch` lifecycle (SearchControl installation, observer
- * bridging).
+ * Facade driver: spec validation and the `runSearch` lifecycle
+ * (workload resolution, SearchControl installation, dispatch).
  */
 #include "api/search_api.hh"
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <utility>
 
@@ -16,51 +14,11 @@
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
-#include "util/thread_annotations.hh"
 #include "workload/workload_registry.hh"
 
 namespace dosa {
 
 namespace {
-
-/**
- * Turns the phase-callback stream into trace spans: each phase
- * announcement closes the span of the previous phase and opens the
- * next. Phase names are the `const char *` literals the searchers
- * pass (SearchControl contract), so storing the pointer is safe.
- */
-class PhaseSpanTracker
-{
-  public:
-    void
-    transition(const char *next)
-    {
-        obs::Tracer &tracer = obs::globalTracer();
-        if (!tracer.enabled()) {
-            current_ = nullptr;
-            return;
-        }
-        uint64_t now = tracer.nowNs();
-        if (current_ != nullptr)
-            tracer.recordSpan(current_, "search.phase", start_ns_, now);
-        current_ = next;
-        start_ns_ = now;
-    }
-
-    void
-    finish()
-    {
-        obs::Tracer &tracer = obs::globalTracer();
-        if (current_ != nullptr && tracer.enabled())
-            tracer.recordSpan(current_, "search.phase", start_ns_,
-                              tracer.nowNs());
-        current_ = nullptr;
-    }
-
-  private:
-    const char *current_ = nullptr;
-    uint64_t start_ns_ = 0;
-};
 
 /** `runSearch`'s instruments, looked up once (registry rule). */
 struct ApiMetrics
@@ -74,32 +32,6 @@ apiMetrics()
 {
     static ApiMetrics m;
     return m;
-}
-
-/**
- * The searcher registry: entries plus the mutex that guards them,
- * bundled so the lock relationship is visible to the thread-safety
- * analysis. Registration order is deterministic; the mutex guards
- * only against concurrent registration/lookup races.
- */
-struct Registry
-{
-    util::Mutex mtx;
-    std::vector<const Searcher *> entries GUARDED_BY(mtx);
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    return r;
-}
-
-void
-ensureBuiltins()
-{
-    static std::once_flag once;
-    std::call_once(once, [] { detail::registerBuiltinSearchers(); });
 }
 
 /**
@@ -138,67 +70,6 @@ checkOptions(const SearchSpec &spec, const Searcher &searcher,
 
 } // namespace
 
-void
-detail::appendSearcher(const Searcher *searcher)
-{
-    if (searcher == nullptr || searcher->name() == nullptr ||
-        searcher->name()[0] == '\0')
-        panic("Search::registerSearcher: null searcher or empty name");
-    Registry &r = registry();
-    util::MutexLock lock(r.mtx);
-    r.entries.push_back(searcher);
-}
-
-void
-Search::registerSearcher(const Searcher *searcher)
-{
-    // Bootstrap the builtins first so this registration lands after
-    // them: latest-wins shadowing holds no matter when a caller
-    // registers relative to the first find()/algorithms() call.
-    ensureBuiltins();
-    detail::appendSearcher(searcher);
-}
-
-const Searcher *
-Search::find(std::string_view name)
-{
-    ensureBuiltins();
-    Registry &r = registry();
-    util::MutexLock lock(r.mtx);
-    // Latest registration wins, so tests/backends can shadow a name.
-    for (auto it = r.entries.rbegin(); it != r.entries.rend(); ++it)
-        if (name == (*it)->name())
-            return *it;
-    return nullptr;
-}
-
-std::vector<std::string>
-Search::algorithms()
-{
-    ensureBuiltins();
-    Registry &r = registry();
-    util::MutexLock lock(r.mtx);
-    std::vector<std::string> names;
-    for (const Searcher *searcher : r.entries) {
-        std::string name = searcher->name();
-        if (std::find(names.begin(), names.end(), name) == names.end())
-            names.push_back(std::move(name));
-    }
-    return names;
-}
-
-std::string
-Search::algorithmList()
-{
-    std::string out;
-    for (const std::string &name : algorithms()) {
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
 bool
 validateSpec(const SearchSpec &spec, std::string &error)
 {
@@ -232,7 +103,7 @@ validateSpec(const SearchSpec &spec, std::string &error)
             return false;
         }
     }
-    if (spec.budget.max_samples < 0 || spec.budget.deadline_s < 0.0) {
+    if (spec.budget.max_samples < 0 || !(spec.budget.deadline_s >= 0.0)) {
         error = "search budget limits must be non-negative";
         return false;
     }
@@ -298,46 +169,13 @@ runSearch(const SearchSpec &spec, SearchObserver *observer)
     obs::TraceSpan run_span("runSearch", "search");
     apiMetrics().searches.add(1);
 
-    // Bridge the observer (and the phase-span tracker) onto the
-    // cooperative run control the searchers poll; without an observer
-    // the control still enforces the budget and deadline.
-    PhaseSpanTracker phases;
-    SearchControl::SampleFn on_sample;
-    if (observer != nullptr) {
-        on_sample = [observer](size_t count, double edp,
-                               double best_edp, bool improved) {
-            SampleEvent event{count - 1, edp, best_edp, improved};
-            bool keep_going = observer->onSample(event);
-            if (improved)
-                observer->onImprovement(event);
-            return keep_going;
-        };
-    }
-    SearchControl::PhaseFn on_phase = [observer,
-                                       &phases](const char *phase) {
-        phases.transition(phase);
-        if (observer != nullptr)
-            observer->onPhase(phase);
-    };
-    SearchControl control(
-            static_cast<size_t>(spec.budget.max_samples),
-            spec.budget.deadline_s, std::move(on_sample),
-            std::move(on_phase));
-    if (observer != nullptr && spec.mode.pareto.active()) {
-        control.setFrontierCallback(
-                [observer](const ParetoPoint &point,
-                        size_t front_size) {
-                    FrontierEvent event{point.sample_index, point.edp,
-                            point.area_mm2, point.power_w,
-                            front_size};
-                    observer->onFrontier(event);
-                });
-    }
-
+    // Without an observer the control still enforces the budget and
+    // deadline and records the phase spans.
+    SearchControl control(static_cast<size_t>(spec.budget.max_samples),
+            spec.budget.deadline_s, observer);
     control.phase("setup");
     SearchReport report = searcher->run(spec, control);
     control.phase("done");
-    phases.finish();
     apiMetrics().samples.add(
             static_cast<uint64_t>(report.search.trace.size()));
     // The result leaves the driver's scope; the control dies here.

@@ -1,7 +1,7 @@
 /**
  * @file
  * The public entry point of the search subsystem: build a
- * `SearchSpec`, pick a registered algorithm, call `runSearch`, and
+ * `SearchSpec`, pick an algorithm, call `runSearch`, and
  * optionally stream progress through a `SearchObserver`.
  *
  * Typical use:
@@ -30,7 +30,7 @@
 namespace dosa {
 
 /**
- * Run the search described by `spec` with the registered algorithm
+ * Run the search described by `spec` with the algorithm
  * `spec.algorithm`, streaming progress to `observer` (optional).
  *
  * The driver validates the spec (unknown algorithm, option keys or
@@ -38,8 +38,8 @@ namespace dosa {
  * choices), resolves a `spec.workload_name` into its registered
  * layers (a by-name run is byte-identical to inlining those layers),
  * installs a `SearchControl` carrying the budget/deadline and the
- * observer bridge, and dispatches to the registered searcher (which
- * pre-reserves the result trace from its planned sample count).
+ * observer, and dispatches to the searcher (which pre-reserves the
+ * result trace from its planned sample count).
  * For a fixed spec the result is bit-identical for any `spec.jobs`
  * value and for the presence/absence of an observer.
  */
@@ -49,11 +49,11 @@ SearchReport runSearch(const SearchSpec &spec,
 /**
  * Non-fatal validation of everything `runSearch` would reject as a
  * fatal configuration error: unknown algorithm (the message lists
- * the registry), option keys the chosen searcher does not consume,
+ * the searchers), option keys the chosen searcher does not consume,
  * an empty workload or ill-formed layers, an unknown or ambiguous
  * `workload_name` (the message lists the workload registry),
- * negative budget limits, and option values outside the range the
- * searcher's `options()` declares for them (NaN included).
+ * negative or NaN budget limits, and option values outside the
+ * range the searcher's `options()` declares for them (NaN included).
  * Returns false and sets `error` instead of exiting — the check a
  * long-running caller (the search service) runs on untrusted specs
  * before dispatching, so a bad request cannot take the process down.

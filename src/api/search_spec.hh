@@ -5,7 +5,7 @@
  * unified budget (sample cap + wall-clock deadline), seed/jobs/scorer
  * knobs and a loosely-typed per-algorithm option bag.
  *
- * Every registered searcher (`Search::algorithms()`) runs from the
+ * Every searcher (`Search::algorithms()`) runs from the
  * same spec shape, so benches and services can sweep algorithms under
  * one budget without per-algorithm config plumbing.
  */
@@ -21,6 +21,7 @@
 
 #include "arch/hardware_config.hh"
 #include "core/objective.hh"
+#include "model/reference.hh"
 #include "workload/layer.hh"
 
 namespace dosa {
@@ -58,7 +59,7 @@ struct SearchBudget
 
 /**
  * Loosely-typed per-algorithm numeric options. Keys are flat names
- * (`start_points`, `mappings_per_hw`, ...); each registered searcher
+ * (`start_points`, `mappings_per_hw`, ...); each searcher
  * declares its set, with a closed range per key, in
  * `Searcher::options()`. `validateSpec` rejects an unknown key, so
  * typos cannot silently fall back to defaults, and a value outside
@@ -122,12 +123,12 @@ class OptionBag
 };
 
 /**
- * Everything `runSearch` needs to run any registered algorithm:
+ * Everything `runSearch` needs to run any algorithm:
  * the public entry-point configuration of the search subsystem.
  */
 struct SearchSpec
 {
-    /** Registry name: "dosa", "random", "mapper" or "bayesopt". */
+    /** Searcher name: "dosa", "random", "mapper" or "bayesopt". */
     std::string algorithm = "dosa";
 
     /** Unique layers of the target network (with repeat counts). */

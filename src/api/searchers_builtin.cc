@@ -1,7 +1,8 @@
 /**
  * @file
  * The four in-tree searcher adapters ("dosa", "random", "mapper",
- * "bayesopt").
+ * "bayesopt"), the table that lists them and the `Search` lookups
+ * over it.
  *
  * Each adapter owns one option table: a row per option key, holding
  * the closed range `validateSpec` accepts and the native config field
@@ -128,13 +129,6 @@ class DosaSearcher : public TableSearcher<DosaConfig>
 
     const char *name() const override { return "dosa"; }
 
-    const char *
-    description() const override
-    {
-        return "one-loop differentiable co-search (Adam descent with "
-               "periodic rounding)";
-    }
-
     /** Spec -> native config (budget-derived steps when absent). */
     DosaConfig
     configFromSpec(const SearchSpec &spec) const
@@ -165,13 +159,8 @@ class DosaSearcher : public TableSearcher<DosaConfig>
     SearchReport
     run(const SearchSpec &spec, SearchControl &control) const override
     {
-        DosaResult r = detail::dosaSearchImpl(spec.workload,
+        return detail::dosaSearchImpl(spec.workload,
                 configFromSpec(spec), control);
-        SearchReport report;
-        report.search = std::move(r.search);
-        report.best_start_edp = r.best_start_edp;
-        report.best_start_hw = r.best_start_hw;
-        return report;
     }
 };
 
@@ -188,12 +177,6 @@ class RandomSearcher : public TableSearcher<RandomSearchConfig>
     RandomSearcher() : TableSearcher(kRandomOptions) {}
 
     const char *name() const override { return "random"; }
-
-    const char *
-    description() const override
-    {
-        return "random hardware + mapping co-search baseline";
-    }
 
     RandomSearchConfig
     configFromSpec(const SearchSpec &spec) const
@@ -240,13 +223,6 @@ class MapperSearcher : public TableSearcher<MapperConfig>
     MapperSearcher() : TableSearcher(kMapperOptions) {}
 
     const char *name() const override { return "mapper"; }
-
-    const char *
-    description() const override
-    {
-        return "fixed-hardware random mapping search (Timeloop "
-               "random-mapper stand-in) over spec.fixed_hw";
-    }
 
     MapperConfig
     configFromSpec(const SearchSpec &spec) const
@@ -297,13 +273,6 @@ class BayesOptSearcher : public TableSearcher<BayesOptConfig>
 
     const char *name() const override { return "bayesopt"; }
 
-    const char *
-    description() const override
-    {
-        return "two-loop black-box Bayesian optimization over GP "
-               "posterior LCB";
-    }
-
     BayesOptConfig
     configFromSpec(const SearchSpec &spec) const
     {
@@ -335,25 +304,52 @@ class BayesOptSearcher : public TableSearcher<BayesOptConfig>
     }
 };
 
-} // namespace
-
-namespace detail {
-
-void
-registerBuiltinSearchers()
+/**
+ * The searcher table, in listing order. Adding a searcher is one
+ * adapter above plus one row here.
+ */
+std::span<const Searcher *const>
+searchers()
 {
-    static const DosaSearcher dosa_searcher;
-    static const RandomSearcher random_searcher;
-    static const MapperSearcher mapper_searcher;
-    static const BayesOptSearcher bayesopt_searcher;
-    // appendSearcher, not registerSearcher: this hook runs inside
-    // the bootstrap, which registerSearcher would re-enter.
-    appendSearcher(&dosa_searcher);
-    appendSearcher(&random_searcher);
-    appendSearcher(&mapper_searcher);
-    appendSearcher(&bayesopt_searcher);
+    static const DosaSearcher dosa;
+    static const RandomSearcher random;
+    static const MapperSearcher mapper;
+    static const BayesOptSearcher bayesopt;
+    static const Searcher *const table[] = {&dosa, &random, &mapper,
+                                            &bayesopt};
+    return table;
 }
 
-} // namespace detail
+} // namespace
+
+const Searcher *
+Search::find(std::string_view name)
+{
+    for (const Searcher *searcher : searchers())
+        if (name == searcher->name())
+            return searcher;
+    return nullptr;
+}
+
+std::vector<std::string>
+Search::algorithms()
+{
+    std::vector<std::string> names;
+    for (const Searcher *searcher : searchers())
+        names.emplace_back(searcher->name());
+    return names;
+}
+
+std::string
+Search::algorithmList()
+{
+    std::string out;
+    for (const Searcher *searcher : searchers()) {
+        if (!out.empty())
+            out += ", ";
+        out += searcher->name();
+    }
+    return out;
+}
 
 } // namespace dosa

@@ -107,27 +107,6 @@ overAreaBudget(const HardwareConfig &hw, const ObjectiveMode &mode)
 
 } // namespace
 
-NetworkEval
-scoreDesign(const std::vector<Layer> &layers,
-            const std::vector<Mapping> &mappings,
-            const HardwareConfig &hw, const LatencyScorer &scorer)
-{
-    // Energy always comes from the reference model; latency from the
-    // scorer when one is installed.
-    NetworkEval out;
-    for (size_t li = 0; li < layers.size(); ++li) {
-        RefEval ev = referenceEval(layers[li], mappings[li], hw);
-        double lat = scorer ? scorer(layers[li], mappings[li], hw)
-                            : ev.latency;
-        double cnt = static_cast<double>(layers[li].count);
-        out.energy_uj += cnt * ev.energy_uj;
-        out.latency += cnt * lat;
-        out.fits = out.fits && ev.fits;
-    }
-    out.edp = out.energy_uj * out.latency;
-    return out;
-}
-
 std::vector<OrderVec>
 selectOrders(const std::vector<Layer> &layers,
              std::vector<Mapping> &mappings, const HardwareConfig &hw,
@@ -140,12 +119,10 @@ selectOrders(const std::vector<Layer> &layers,
         Mapping variant = mappings[li];
         for (int o = 0; o < kNumOrders; ++o) {
             variant.order = uniformOrder(static_cast<LoopOrder>(o));
-            RefEval ev = referenceEval(layers[li], variant, hw);
-            double lat = scorer ? scorer(layers[li], variant, hw)
-                                : ev.latency;
+            RefEval ev = scoredEval(layers[li], variant, hw, scorer);
             double cnt = static_cast<double>(layers[li].count);
             energy[li][size_t(o)] = cnt * ev.energy_uj;
-            latency[li][size_t(o)] = cnt * lat;
+            latency[li][size_t(o)] = cnt * ev.latency;
         }
     }
 
@@ -221,11 +198,8 @@ roundAndScore(const std::vector<Layer> &layers,
                 mode.peCap());
     }
     design.hw = scoringHw(layers, design.mappings, mode);
-    NetworkEval ev = scoreDesign(layers, design.mappings, design.hw,
-            scorer);
-    design.edp = ev.edp;
-    design.energy_uj = ev.energy_uj;
-    design.latency = ev.latency;
+    design.eval = referenceNetworkEval(layers, design.mappings,
+            design.hw, scorer);
     return design;
 }
 
@@ -242,27 +216,13 @@ struct StartCandidate
     double model_edp = 0.0;
 };
 
-/**
- * Everything one start point contributes, recorded locally so starts
- * can run on any thread and be merged in start order afterwards.
- */
+/** One start point's record plus its Fig. 9 start attribution. */
 struct StartOutcome
 {
-    /** Raw per-sample values in record() order (inf placeholders). */
-    std::vector<double> samples;
-    double best_edp = std::numeric_limits<double>::infinity();
-    HardwareConfig best_hw;
-    std::vector<Mapping> best_mappings;
-    /** Concrete start-point score (Fig. 9 attribution), if valid. */
-    bool start_valid = false;
+    UnitRecord unit;
+    /** Concrete start-point score, if the start design is valid. */
     double start_edp = std::numeric_limits<double>::infinity();
     HardwareConfig start_hw;
-    /**
-     * Concrete samples that entered this start's *local* Pareto front
-     * (multi-objective runs only), keyed by offset into `samples`;
-     * the serial merge re-checks them globally.
-     */
-    std::vector<ParetoCandidate> candidates;
 };
 
 /**
@@ -319,54 +279,26 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     StartOutcome out;
-    out.samples.reserve(static_cast<size_t>(cfg.steps_per_start) + 1);
+    UnitRecord &unit = out.unit;
+    unit.samples.reserve(static_cast<size_t>(cfg.steps_per_start) + 1);
+    if (cfg.mode.pareto.active())
+        unit.local.configure(cfg.mode.pareto);
     std::vector<Mapping> mappings = std::move(start.mappings);
     std::vector<OrderVec> orders = std::move(start.orders);
     std::vector<double> x = std::move(start.x);
 
-    // Local frontier filter for multi-objective runs: only points of
-    // this start's own Pareto front travel to the merge (everything
-    // the start dominates locally is dominated globally too).
-    const bool pareto = cfg.mode.pareto.active();
-    ParetoFront local;
-    if (pareto)
-        local.configure(cfg.mode.pareto);
-    auto offer = [&](double edp, double energy_uj, double latency,
-                     const HardwareConfig &hw,
-                     const std::vector<Mapping> &maps) {
-        if (!pareto || latency <= 0.0)
-            return;
-        ParetoPoint point;
-        point.edp = edp;
-        point.area_mm2 = configAreaMm2(hw);
-        point.power_w = energy_uj / latency * 1000.0;
-        point.hw = hw;
-        if (local.wouldAccept(point.edp, point.area_mm2,
-                    point.power_w)) {
-            point.mappings = maps;
-            out.candidates.push_back({out.samples.size(), point});
-            local.consider(std::move(point));
-        }
-    };
-
     // Score the concrete start point (one sample).
     {
         HardwareConfig hw0 = scoringHw(layers, mappings, cfg.mode);
-        NetworkEval ev0 = scoreDesign(layers, mappings, hw0,
+        NetworkEval ev0 = referenceNetworkEval(layers, mappings, hw0,
                 cfg.scorer);
-        bool valid0 = !overAreaBudget(hw0, cfg.mode);
-        if (valid0) {
-            out.start_valid = true;
+        if (overAreaBudget(hw0, cfg.mode)) {
+            unit.samples.push_back(kInf);
+        } else {
             out.start_edp = ev0.edp;
             out.start_hw = hw0;
-            offer(ev0.edp, ev0.energy_uj, ev0.latency, hw0, mappings);
+            unit.recordDesign(ev0, hw0, mappings);
         }
-        if (valid0 && ev0.edp < out.best_edp) {
-            out.best_edp = ev0.edp;
-            out.best_hw = hw0;
-            out.best_mappings = mappings;
-        }
-        out.samples.push_back(valid0 ? ev0.edp : kInf);
     }
 
     double start_best_edp = kInf;
@@ -398,7 +330,7 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
                          step == cfg.steps_per_start;
         if (!round_now) {
             // Model evaluation consumed; no new concrete point.
-            out.samples.push_back(kInf);
+            unit.samples.push_back(kInf);
             continue;
         }
 
@@ -407,22 +339,15 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
         if (cfg.strategy != OrderStrategy::Fixed) {
             orders = selectOrders(layers, design.mappings,
                     design.hw, cfg.scorer);
-            NetworkEval ev2 = scoreDesign(layers, design.mappings,
+            design.eval = referenceNetworkEval(layers, design.mappings,
                     design.hw, cfg.scorer);
-            design.edp = ev2.edp;
-            design.energy_uj = ev2.energy_uj;
-            design.latency = ev2.latency;
         }
         bool valid = !overAreaBudget(design.hw, cfg.mode);
-        if (valid && design.edp < out.best_edp) {
-            out.best_edp = design.edp;
-            out.best_hw = design.hw;
-            out.best_mappings = design.mappings;
-        }
         if (valid)
-            offer(design.edp, design.energy_uj, design.latency,
-                    design.hw, design.mappings);
-        out.samples.push_back(valid ? design.edp : kInf);
+            unit.recordDesign(design.eval, design.hw,
+                    design.mappings);
+        else
+            unit.samples.push_back(kInf);
 
         // Project the variables onto the rounded point; if this
         // rounding regressed, fall back to the best point of the
@@ -432,8 +357,8 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
             std::vector<double> xl = packMapping(m);
             x.insert(x.end(), xl.begin(), xl.end());
         }
-        if (valid && design.edp < start_best_edp) {
-            start_best_edp = design.edp;
+        if (valid && design.eval.edp < start_best_edp) {
+            start_best_edp = design.eval.edp;
             start_best_x = x;
             start_best_orders = orders;
         } else if (cfg.restart_from_best) {
@@ -447,13 +372,12 @@ runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
 
 } // namespace
 
-DosaResult
+SearchReport
 detail::dosaSearchImpl(const std::vector<Layer> &layers,
                        const DosaConfig &cfg, SearchControl &control)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    DosaResult result;
-    result.best_start_edp = kInf;
+    SearchReport result;
     result.search.control = &control;
     if (cfg.mode.pareto.active())
         result.search.frontier.configure(cfg.mode.pareto);
@@ -530,14 +454,13 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
         // discard the samples the starts already computed.
         if (control.recordingStopped())
             break;
-        if (o.start_valid && o.start_edp < result.best_start_edp) {
+        if (o.start_edp < result.best_start_edp) {
             result.best_start_edp = o.start_edp;
             result.best_start_hw = o.start_hw;
         }
-        // mergeOutcome keeps the serial-stream strict-< tie-breaking
-        // and the design/trace consistency contract under hard stops.
-        result.search.mergeOutcome(o.samples, o.best_edp, o.best_hw,
-                o.best_mappings, o.candidates);
+        // merge keeps the serial-stream strict-< tie-breaking and the
+        // design/trace consistency contract under hard stops.
+        result.search.merge(o.unit);
     }
     return result;
 }

@@ -14,7 +14,6 @@
 #ifndef DOSA_CORE_DOSA_OPTIMIZER_HH
 #define DOSA_CORE_DOSA_OPTIMIZER_HH
 
-#include <functional>
 #include <vector>
 
 #include "core/objective.hh"
@@ -22,10 +21,6 @@
 #include "search/search_common.hh"
 
 namespace dosa {
-
-// LatencyScorer (the concrete-design point scorer; empty = reference
-// latency) lives in core/objective.hh next to the differentiable
-// objective.
 
 /** DOSA run configuration (defaults follow Section 6.1). */
 struct DosaConfig
@@ -65,24 +60,13 @@ struct DosaConfig
     bool restart_from_best = true;
 };
 
-/** DOSA run outcome. */
-struct DosaResult
-{
-    SearchResult search;
-    /** Reference EDP of the best start point (Fig. 9 attribution). */
-    double best_start_edp = 0.0;
-    /** Hardware of the best start point. */
-    HardwareConfig best_start_hw;
-};
-
 namespace detail {
 
 /**
- * Canonical DOSA implementation behind the registered "dosa"
- * searcher; runs under the driver's `control`. Call `runSearch`
- * instead.
+ * Canonical DOSA implementation behind the "dosa" searcher; runs
+ * under the driver's `control`. Call `runSearch` instead.
  */
-DosaResult dosaSearchImpl(const std::vector<Layer> &layers,
+SearchReport dosaSearchImpl(const std::vector<Layer> &layers,
                           const DosaConfig &cfg, SearchControl &control);
 
 } // namespace detail
@@ -105,9 +89,7 @@ struct RoundedDesign
 {
     std::vector<Mapping> mappings;
     HardwareConfig hw;
-    double edp = 0.0;
-    double energy_uj = 0.0;
-    double latency = 0.0;
+    NetworkEval eval;
 };
 
 RoundedDesign roundAndScore(const std::vector<Layer> &layers,
@@ -115,15 +97,6 @@ RoundedDesign roundAndScore(const std::vector<Layer> &layers,
                             const std::vector<OrderVec> &orders,
                             const ObjectiveMode &mode,
                             const LatencyScorer &scorer = {});
-
-/**
- * Score a concrete design: reference energy, reference-or-predicted
- * latency (Eq 14 composition over repeat counts).
- */
-NetworkEval scoreDesign(const std::vector<Layer> &layers,
-                        const std::vector<Mapping> &mappings,
-                        const HardwareConfig &hw,
-                        const LatencyScorer &scorer = {});
 
 } // namespace dosa
 

@@ -18,7 +18,6 @@
 #define DOSA_CORE_OBJECTIVE_HH
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,16 +28,6 @@
 #include "workload/layer.hh"
 
 namespace dosa {
-
-/**
- * Concrete-design latency scorer used when ranking rounded mappings.
- * Empty means "reference-model latency"; every scoring site computes
- * `scorer ? scorer(layer, mapping, hw) : referenceEval(...).latency`.
- * Fig. 12 passes a learned predictor here so designs are selected by
- * predicted performance.
- */
-using LatencyScorer = std::function<double(
-        const Layer &, const Mapping &, const HardwareConfig &)>;
 
 /**
  * Pluggable differentiable latency model (Section 6.5): replaces or

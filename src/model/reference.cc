@@ -275,16 +275,28 @@ inferMinimalHw(const std::vector<Layer> &layers,
     return quantizeConfig(pe, accum, spad);
 }
 
+RefEval
+scoredEval(const Layer &layer, const Mapping &mapping,
+           const HardwareConfig &hw, const LatencyScorer &scorer)
+{
+    RefEval ev = referenceEval(layer, mapping, hw);
+    if (scorer) {
+        ev.latency = scorer(layer, mapping, hw);
+        ev.edp = ev.energy_uj * ev.latency;
+    }
+    return ev;
+}
+
 NetworkEval
 referenceNetworkEval(const std::vector<Layer> &layers,
                      const std::vector<Mapping> &mappings,
-                     const HardwareConfig &hw)
+                     const HardwareConfig &hw, const LatencyScorer &scorer)
 {
     if (layers.size() != mappings.size())
         panic("referenceNetworkEval: layer/mapping count mismatch");
     NetworkEval out;
     for (size_t i = 0; i < layers.size(); ++i) {
-        RefEval ev = referenceEval(layers[i], mappings[i], hw);
+        RefEval ev = scoredEval(layers[i], mappings[i], hw, scorer);
         double cnt = static_cast<double>(layers[i].count);
         out.energy_uj += cnt * ev.energy_uj;
         out.latency += cnt * ev.latency;

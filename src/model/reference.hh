@@ -17,6 +17,7 @@
 #define DOSA_MODEL_REFERENCE_HH
 
 #include <array>
+#include <functional>
 #include <vector>
 
 #include "arch/hardware_config.hh"
@@ -69,6 +70,23 @@ RefEval referenceEval(const Layer &layer, const Mapping &mapping,
                       const HardwareConfig &hw);
 
 /**
+ * Concrete-design latency scorer. Empty means reference-model
+ * latency. Fig. 12 passes a learned predictor here so designs are
+ * selected by predicted performance.
+ */
+using LatencyScorer = std::function<double(
+        const Layer &, const Mapping &, const HardwareConfig &)>;
+
+/**
+ * The one scoring rule every searcher ranks concrete designs by:
+ * `referenceEval` with `latency` from `scorer` when one is installed
+ * (else the reference latency) and `edp` the EDP that latency
+ * implies. Energy and traffic stay the reference model's.
+ */
+RefEval scoredEval(const Layer &layer, const Mapping &mapping,
+                   const HardwareConfig &hw, const LatencyScorer &scorer);
+
+/**
  * referenceEval(layer, mapping, hw).fits without the traffic model: the
  * mapping's PE side, accumulator tile and scratchpad tiles fit `hw`.
  * This is the one fit rule; rejection samplers probe with it.
@@ -96,9 +114,11 @@ struct NetworkEval
     bool fits = true;
 };
 
+/** Eq 14 over `scoredEval` of every layer (empty `scorer` = reference). */
 NetworkEval referenceNetworkEval(const std::vector<Layer> &layers,
                                  const std::vector<Mapping> &mappings,
-                                 const HardwareConfig &hw);
+                                 const HardwareConfig &hw,
+                                 const LatencyScorer &scorer = {});
 
 } // namespace dosa
 

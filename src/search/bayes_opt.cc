@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "arch/area_model.hh"
 #include "exec/thread_pool.hh"
 #include "gp/gaussian_process.hh"
 #include "model/reference.hh"
@@ -62,53 +61,37 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
     GaussianProcess gp(gp_params);
     bool gp_ready = false;
 
+    // Scores one design for real: one sample, plus a log-EDP training
+    // target per layer.
     auto evaluate_design = [&](const HardwareConfig &hw,
                                const std::vector<Mapping> &maps) {
-        double e = 0.0, l = 0.0;
+        NetworkEval net;
         for (size_t li = 0; li < layers.size(); ++li) {
-            RefEval ev = referenceEval(layers[li], maps[li], hw);
-            double lat = cfg.scorer ? cfg.scorer(layers[li], maps[li], hw)
-                                    : ev.latency;
+            RefEval ev = scoredEval(layers[li], maps[li], hw, cfg.scorer);
             double cnt = static_cast<double>(layers[li].count);
-            e += cnt * ev.energy_uj;
-            l += cnt * lat;
-            double layer_edp = ev.energy_uj * lat;
+            net.energy_uj += cnt * ev.energy_uj;
+            net.latency += cnt * ev.latency;
             train.add(encodeFeatures(layers[li], maps[li], hw),
-                      std::log(std::max(layer_edp, 1e-30)));
+                      std::log(std::max(ev.edp, 1e-30)));
         }
-        double edp = e * l;
-        // Serial searcher: merges run one sample at a time, so the
-        // global front is the local history and pre-filtering against
-        // it skips the mapping-snapshot copy for dominated samples.
-        ParetoCandidate candidate;
-        std::span<const ParetoCandidate> candidates;
-        if (cfg.pareto.active() && l > 0.0 &&
-            result.frontier.wouldAccept(edp, configAreaMm2(hw),
-                    e / l * 1000.0)) {
-            candidate.point.edp = edp;
-            candidate.point.area_mm2 = configAreaMm2(hw);
-            candidate.point.power_w = e / l * 1000.0;
-            candidate.point.hw = hw;
-            candidate.point.mappings = maps;
-            candidates = std::span<const ParetoCandidate>(
-                    &candidate, 1);
-        }
-        result.mergeOutcome(std::span<const double>(&edp, 1), edp, hw,
-                maps, candidates);
-        return edp;
+        net.edp = net.energy_uj * net.latency;
+        result.recordDesign(net, hw, maps);
     };
 
     control.phase("warmup");
+    bool guided = false;
     for (int sample = 0; sample < cfg.total_samples; ++sample) {
         // Cooperative cancellation/deadline poll, once per sample.
         if (control.stopRequested())
             break;
-        if (sample == cfg.warmup_samples)
+        if (!guided && gp_ready && sample >= cfg.warmup_samples) {
+            guided = true;
             control.phase("guided");
+        }
         HardwareConfig hw;
         std::vector<Mapping> maps(layers.size());
 
-        if (sample < cfg.warmup_samples || !gp_ready) {
+        if (!guided) {
             hw = randomHardware(rng);
             for (size_t li = 0; li < layers.size(); ++li)
                 maps[li] = randomValidMapping(layers[li], hw, rng);
@@ -182,8 +165,10 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
 
         evaluate_design(hw, maps);
 
-        bool refit_now = (sample + 1 == cfg.warmup_samples) ||
-                (gp_ready && (sample % cfg.refit_every == 0));
+        // The first fit follows the last warmup sample (the first
+        // sample when there is no warmup); refits follow on schedule.
+        bool refit_now = gp_ready ? sample % cfg.refit_every == 0
+                                  : sample + 1 >= cfg.warmup_samples;
         if (refit_now && !train.x.empty()) {
             gp.fit(train.x, train.y);
             gp_ready = true;

@@ -57,8 +57,8 @@ namespace detail {
 
 /**
  * Canonical BO co-search over the unique layers of a network, behind
- * the registered "bayesopt" searcher; runs under the driver's
- * `control`. Call `runSearch` instead.
+ * the "bayesopt" searcher; runs under the driver's `control`. Call
+ * `runSearch` instead.
  */
 SearchResult bayesOptSearchImpl(const std::vector<Layer> &layers,
                                 const BayesOptConfig &cfg,

@@ -11,57 +11,87 @@
 #include "search/random_search.hh"
 
 #include <algorithm>
+#include <utility>
 
-#include "arch/area_model.hh"
 #include "exec/thread_pool.hh"
 #include "model/reference.hh"
-#include "util/logging.hh"
 
 namespace dosa {
 
 namespace {
 
-/** Per-hardware-design outcome of the random co-search. */
-struct HwOutcome
+/** A layer's scored mapping, reduced to what the incumbent choice reads. */
+struct LayerScore
 {
-    HardwareConfig hw;
-    /** Network EDP after each sample (incumbent per-layer mappings). */
-    std::vector<double> sample_edp;
-    std::vector<Mapping> best;
-    double best_edp = std::numeric_limits<double>::infinity();
-    /**
-     * Samples that entered this design's *local* Pareto front
-     * (multi-objective runs only), keyed by offset into
-     * `sample_edp`; the serial merge re-checks them globally.
-     */
-    std::vector<ParetoCandidate> candidates;
+    double edp = std::numeric_limits<double>::infinity();
+    double energy_uj = 0.0;
+    double latency = 0.0;
+};
+
+LayerScore
+scoreLayer(const Layer &layer, const Mapping &mapping,
+           const HardwareConfig &hw, const LatencyScorer &scorer)
+{
+    RefEval ev = scoredEval(layer, mapping, hw, scorer);
+    return {ev.edp, ev.energy_uj, ev.latency};
+}
+
+/**
+ * The best mapping per layer by per-layer EDP (strict <, so the
+ * earliest of equal mappings stays) and the network evaluation those
+ * incumbents compose to. Not monotone in samples: a per-layer EDP win
+ * can trade energy against latency.
+ */
+struct LayerIncumbents
+{
+    std::vector<Mapping> mappings;
+    std::vector<LayerScore> scores;
+
+    explicit LayerIncumbents(size_t layers)
+        : mappings(layers), scores(layers)
+    {
+    }
+
+    /** Keep `mapping` for layer `li` if it scores a strictly lower EDP. */
+    template <class M>
+    void
+    offer(size_t li, const LayerScore &score, M &&mapping)
+    {
+        if (score.edp < scores[li].edp) {
+            scores[li] = score;
+            mappings[li] = std::forward<M>(mapping);
+        }
+    }
+
+    /** Eq 14 over the incumbents. */
+    NetworkEval
+    network(const std::vector<Layer> &layers) const
+    {
+        NetworkEval net;
+        for (size_t li = 0; li < layers.size(); ++li) {
+            double cnt = static_cast<double>(layers[li].count);
+            net.energy_uj += cnt * scores[li].energy_uj;
+            net.latency += cnt * scores[li].latency;
+        }
+        net.edp = net.energy_uj * net.latency;
+        return net;
+    }
 };
 
 /**
- * Sample `samples` random mappings per layer on one hardware design,
- * tracking the incumbent best mapping per layer by per-layer EDP.
+ * Sample `samples` random mappings per layer on one hardware design;
+ * each sample is the design with the incumbent mapping per layer.
  */
-HwOutcome
+UnitRecord
 sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
-               int samples, Rng rng, const LatencyScorer &scorer,
-               const SearchControl &control,
-               const ParetoObjectives &pareto)
+               int samples, Rng rng, const RandomSearchConfig &cfg,
+               const SearchControl &control)
 {
-    HwOutcome out;
-    out.hw = hw;
-    out.sample_edp.reserve(static_cast<size_t>(samples));
-    // Local frontier filter for multi-objective runs: a sample the
-    // design's own history dominates is dominated globally too, so
-    // only local front entries travel to the merge.
-    ParetoFront local;
-    const double area_mm2 = pareto.active() ? configAreaMm2(hw) : 0.0;
-    if (pareto.active())
-        local.configure(pareto);
-    std::vector<Mapping> incumbent(layers.size());
-    std::vector<double> best_layer_edp(layers.size(),
-            std::numeric_limits<double>::infinity());
-    std::vector<double> best_energy(layers.size(), 0.0);
-    std::vector<double> best_latency(layers.size(), 0.0);
+    UnitRecord unit;
+    unit.samples.reserve(static_cast<size_t>(samples));
+    if (cfg.pareto.active())
+        unit.local.configure(cfg.pareto);
+    LayerIncumbents incumbents(layers.size());
     std::vector<Mapping> maps(layers.size());
 
     for (int s = 0; s < samples; ++s) {
@@ -72,49 +102,14 @@ sampleHardware(const std::vector<Layer> &layers, const HardwareConfig &hw,
         // evaluation; the draw order defines the RNG stream).
         for (size_t li = 0; li < layers.size(); ++li)
             maps[li] = randomValidMapping(layers[li], hw, rng);
-        for (size_t li = 0; li < layers.size(); ++li) {
-            RefEval ev = referenceEval(layers[li], maps[li], hw);
-            double lat = scorer ? scorer(layers[li], maps[li], hw)
-                                : ev.latency;
-            double layer_edp = ev.energy_uj * lat;
-            if (layer_edp < best_layer_edp[li]) {
-                best_layer_edp[li] = layer_edp;
-                incumbent[li] = maps[li];
-                best_energy[li] = ev.energy_uj;
-                best_latency[li] = lat;
-            }
-        }
-        // Network EDP with the incumbent per-layer mappings. Not
-        // monotone (a per-layer EDP win can trade energy against
-        // latency), so the best design is snapshotted at the minimum.
-        double e = 0.0, l = 0.0;
-        for (size_t li = 0; li < layers.size(); ++li) {
-            double cnt = static_cast<double>(layers[li].count);
-            e += cnt * best_energy[li];
-            l += cnt * best_latency[li];
-        }
-        double edp = e * l;
-        if (edp < out.best_edp) {
-            out.best_edp = edp;
-            out.best = incumbent;
-        }
-        if (pareto.active() && l > 0.0) {
-            ParetoPoint point;
-            point.edp = edp;
-            point.area_mm2 = area_mm2;
-            point.power_w = e / l * 1000.0;
-            point.hw = hw;
-            if (local.wouldAccept(point.edp, point.area_mm2,
-                        point.power_w)) {
-                point.mappings = incumbent;
-                out.candidates.push_back(
-                        {out.sample_edp.size(), point});
-                local.consider(std::move(point));
-            }
-        }
-        out.sample_edp.push_back(edp);
+        for (size_t li = 0; li < layers.size(); ++li)
+            incumbents.offer(li,
+                    scoreLayer(layers[li], maps[li], hw, cfg.scorer),
+                    maps[li]);
+        unit.recordDesign(incumbents.network(layers), hw,
+                incumbents.mappings);
     }
-    return out;
+    return unit;
 }
 
 } // namespace
@@ -135,24 +130,23 @@ detail::randomSearchImpl(const std::vector<Layer> &layers,
     // Hardware design h draws everything (its own config plus all of
     // its mapping samples) from stream (seed, h).
     control.phase("sampling");
-    auto outcomes = pool.parallelMap(
+    auto units = pool.parallelMap(
             static_cast<size_t>(cfg.hw_designs), [&](size_t h) {
         Rng rng = Rng::stream(cfg.seed, h);
         HardwareConfig hw = randomHardware(rng);
         return sampleHardware(layers, hw, cfg.mappings_per_hw,
-                std::move(rng), cfg.scorer, control, cfg.pareto);
+                std::move(rng), cfg, control);
     });
 
-    // Serial merge in design order (trace convention; mergeOutcome
-    // keeps strict-< tie-breaking and design/trace consistency).
+    // Serial merge in design order (trace convention; merge keeps
+    // strict-< tie-breaking and design/trace consistency).
     control.phase("merge");
-    for (const HwOutcome &o : outcomes) {
+    for (const UnitRecord &unit : units) {
         // Hard stop only: a deadline hit during the fan-out must not
         // discard the samples the designs already computed.
         if (control.recordingStopped())
             break;
-        result.mergeOutcome(o.sample_edp, o.best_edp, o.hw, o.best,
-                o.candidates);
+        result.merge(unit);
     }
     return result;
 }
@@ -167,16 +161,15 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
     result.control = &control;
     if (cfg.pareto.active())
         result.frontier.configure(cfg.pareto);
-    const double area_mm2 = cfg.pareto.active() ? configAreaMm2(hw) : 0.0;
     result.reserveTrace(static_cast<size_t>(cfg.samples));
     ThreadPool pool(cfg.jobs);
     control.phase("sampling");
 
-    /** One sample: a mapping per layer plus its evaluation. */
+    /** One sample: a mapping per layer plus its score. */
     struct Sample
     {
         std::vector<Mapping> maps;
-        std::vector<double> edp, energy, latency;
+        std::vector<LayerScore> scores;
     };
 
     // Fan out in fixed-size chunks so the in-flight working set stays
@@ -185,11 +178,7 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
     // stream (seed, s) regardless of its chunk, so chunking does not
     // affect results.
     constexpr size_t kChunk = 256;
-    std::vector<Mapping> best(layers.size());
-    std::vector<double> best_layer_edp(layers.size(),
-            std::numeric_limits<double>::infinity());
-    std::vector<double> best_energy(layers.size(), 0.0);
-    std::vector<double> best_latency(layers.size(), 0.0);
+    LayerIncumbents incumbents(layers.size());
 
     for (size_t chunk = 0; chunk < static_cast<size_t>(cfg.samples);
          chunk += kChunk) {
@@ -203,15 +192,10 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
             out.maps.reserve(layers.size());
             for (const Layer &layer : layers)
                 out.maps.push_back(randomValidMapping(layer, hw, rng));
-            for (size_t li = 0; li < layers.size(); ++li) {
-                const Mapping &m = out.maps[li];
-                RefEval ev = referenceEval(layers[li], m, hw);
-                double lat = cfg.scorer ? cfg.scorer(layers[li], m, hw)
-                                        : ev.latency;
-                out.edp.push_back(ev.energy_uj * lat);
-                out.energy.push_back(ev.energy_uj);
-                out.latency.push_back(lat);
-            }
+            out.scores.reserve(layers.size());
+            for (size_t li = 0; li < layers.size(); ++li)
+                out.scores.push_back(scoreLayer(layers[li],
+                        out.maps[li], hw, cfg.scorer));
             return out;
         });
 
@@ -220,39 +204,11 @@ detail::randomMapperSearchImpl(const std::vector<Layer> &layers,
         for (Sample &sample : drawn) {
             if (control.recordingStopped())
                 break;
-            for (size_t li = 0; li < layers.size(); ++li) {
-                if (sample.edp[li] < best_layer_edp[li]) {
-                    best_layer_edp[li] = sample.edp[li];
-                    best[li] = std::move(sample.maps[li]);
-                    best_energy[li] = sample.energy[li];
-                    best_latency[li] = sample.latency[li];
-                }
-            }
-            double e = 0.0, l = 0.0;
-            for (size_t li = 0; li < layers.size(); ++li) {
-                double cnt = static_cast<double>(layers[li].count);
-                e += cnt * best_energy[li];
-                l += cnt * best_latency[li];
-            }
-            double edp = e * l;
-            // Merges run one sample at a time, so the global front
-            // *is* the local history: pre-filtering against it keeps
-            // the mapping-snapshot copy off the dominated path.
-            ParetoCandidate candidate;
-            std::span<const ParetoCandidate> candidates;
-            if (cfg.pareto.active() && l > 0.0 &&
-                result.frontier.wouldAccept(edp, area_mm2,
-                        e / l * 1000.0)) {
-                candidate.point.edp = edp;
-                candidate.point.area_mm2 = area_mm2;
-                candidate.point.power_w = e / l * 1000.0;
-                candidate.point.hw = hw;
-                candidate.point.mappings = best;
-                candidates = std::span<const ParetoCandidate>(
-                        &candidate, 1);
-            }
-            result.mergeOutcome(std::span<const double>(&edp, 1),
-                    edp, hw, best, candidates);
+            for (size_t li = 0; li < layers.size(); ++li)
+                incumbents.offer(li, sample.scores[li],
+                        std::move(sample.maps[li]));
+            result.recordDesign(incumbents.network(layers), hw,
+                    incumbents.mappings);
         }
     }
     return result;

@@ -67,20 +67,19 @@ struct MapperConfig
 namespace detail {
 
 /**
- * Canonical random hardware+mapping co-search behind the registered
- * "random" searcher; runs under the driver's `control`. One sample =
- * one mapping per layer on one hardware design. Call `runSearch`
- * instead.
+ * Canonical random hardware+mapping co-search behind the "random"
+ * searcher; runs under the driver's `control`. One sample = one
+ * mapping per layer on one hardware design. Call `runSearch` instead.
  */
 SearchResult randomSearchImpl(const std::vector<Layer> &layers,
                               const RandomSearchConfig &cfg,
                               SearchControl &control);
 
 /**
- * Canonical fixed-hardware mapper behind the registered "mapper"
- * searcher; runs under the driver's `control`. Draws `cfg.samples`
- * random valid mappings per layer on `hw` and keeps the best mapping
- * per layer by per-layer EDP. Call `runSearch` instead.
+ * Canonical fixed-hardware mapper behind the "mapper" searcher; runs
+ * under the driver's `control`. Draws `cfg.samples` random valid
+ * mappings per layer on `hw` and keeps the best mapping per layer by
+ * per-layer EDP. Call `runSearch` instead.
  */
 SearchResult randomMapperSearchImpl(const std::vector<Layer> &layers,
                                     const HardwareConfig &hw,

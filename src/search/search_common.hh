@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared infrastructure for the DSE baselines: search traces, random
+ * Shared infrastructure for every searcher: the run control, the one
+ * way a sample is recorded (traces, best design, Pareto front), random
  * hardware sampling, capacity-respecting random mappings and the
  * feature encoding used by the learned surrogates.
  *
@@ -15,15 +16,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
+#include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
+#include "api/observer.hh"
 #include "arch/hardware_config.hh"
 #include "autodiff/var.hh"
 #include "core/objective.hh"
 #include "mapping/mapping.hh"
+#include "model/reference.hh"
 #include "util/rng.hh"
 #include "workload/layer.hh"
 
@@ -49,9 +51,9 @@ struct ParetoPoint
  * A frontier-entering sample produced inside one work unit, keyed by
  * its offset within the unit's sample span so the serial merge can
  * assign the global trace index. Units filter against their local
- * frontier history; `SearchResult::mergeOutcome` re-checks each
- * candidate against the global front, which by domination
- * transitivity reproduces the single-threaded event stream exactly.
+ * frontier history; `SearchResult::merge` re-checks each candidate
+ * against the global front, which by domination transitivity
+ * reproduces the single-threaded event stream exactly.
  */
 struct ParetoCandidate
 {
@@ -154,12 +156,14 @@ class ParetoFront
 };
 
 /**
- * Cooperative run control shared between a search driver and the
- * searcher implementations. The `src/api` facade installs one per
- * `runSearch` call; the searchers thread it through
- * `SearchResult::record` (sample accounting + streaming callbacks)
- * and poll `stopRequested()` at their natural work boundaries (one
- * descent step, one sampled design).
+ * Cooperative run control shared between the `src/api` driver and the
+ * searcher implementations. The driver installs one per `runSearch`
+ * call; the searchers thread it through `SearchResult::record`
+ * (sample accounting and streaming) and poll `stopRequested()` at
+ * their natural work boundaries (one descent step, one sampled
+ * design). It streams every recorded sample, frontier entry and
+ * phase to the run's `SearchObserver` (when one is installed) and
+ * records each phase as a "search.phase" trace span.
  *
  * Two stop severities keep early stops lossless:
  *
@@ -173,55 +177,30 @@ class ParetoFront
  *   work.
  *
  * Thread contract: `stopRequested()` / `requestStop()` / `samples()`
- * may be called from any worker thread; `onRecord()` and `phase()`
- * are only ever called from the serial sections of a searcher (trace
- * merges run in sample order), so the callbacks observe samples in
- * trace order.
+ * may be called from any worker thread; `onRecord()`, `frontier()`
+ * and `phase()` are only ever called from the serial sections of a
+ * searcher (trace merges run in sample order), so the observer sees
+ * samples in trace order.
  */
 class SearchControl
 {
   public:
     /**
-     * Streaming sample callback: (1-based running sample count, this
-     * sample's EDP, best-so-far EDP, whether this sample strictly
-     * improved the best). Return false to cancel the search.
-     */
-    using SampleFn = std::function<bool(size_t, double, double, bool)>;
-    /** Searcher lifecycle callback ("starts", "descent", ...). */
-    using PhaseFn = std::function<void(const char *)>;
-    /** Frontier-entry callback: (the point that just entered the
-     *  Pareto front, frontier size after insertion). */
-    using FrontierFn =
-            std::function<void(const ParetoPoint &, size_t)>;
-
-    /** Control with no budget, no deadline and no callbacks. */
-    SearchControl() = default;
-
-    /**
      * @param max_samples Hard cap on recorded samples (0 = none).
      * @param deadline_s  Wall-clock deadline in seconds from now
-     *                    (0 = none), enforced cooperatively.
-     * @param on_sample   Optional per-sample streaming callback.
-     * @param on_phase    Optional lifecycle callback.
+     *                    (0 = none), enforced cooperatively. One too
+     *                    far out to ever fire (up to +inf) is fine.
+     * @param observer    Optional event sink (not owned).
      */
     SearchControl(size_t max_samples, double deadline_s,
-                  SampleFn on_sample = {}, PhaseFn on_phase = {})
-        : max_samples_(max_samples), on_sample_(std::move(on_sample)),
-          on_phase_(std::move(on_phase))
-    {
-        if (deadline_s > 0.0) {
-            has_deadline_ = true;
-            // The deadline budget is the one sanctioned clock seam
-            // in the search layer: it gates *when* a search stops,
-            // never *what* it computes, and deadline-limited runs
-            // are documented as nondeterministic.
-            // LINT-ALLOW(wall-clock): deadline seam (see above)
-            deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(deadline_s));
-        }
-    }
+                  SearchObserver *observer);
+
+    /** Closes the trace span of the last announced phase. */
+    ~SearchControl();
+
+    /** Searchers and `SearchResult::control` hold its address. */
+    SearchControl(const SearchControl &) = delete;
+    SearchControl &operator=(const SearchControl &) = delete;
 
     /** Request a hard stop (callable from any thread). */
     void requestStop() { stop_.store(true, std::memory_order_relaxed); }
@@ -230,22 +209,7 @@ class SearchControl
      * Compute gate: true once hard-stopped or past the deadline.
      * Searcher work loops poll this before producing more samples.
      */
-    bool
-    stopRequested() const
-    {
-        if (stop_.load(std::memory_order_relaxed))
-            return true;
-        if (deadline_hit_.load(std::memory_order_relaxed))
-            return true;
-        if (has_deadline_ &&
-            // Stop timing only, never result data (see constructor).
-            // LINT-ALLOW(wall-clock): deadline poll, same seam
-            std::chrono::steady_clock::now() >= deadline_) {
-            deadline_hit_.store(true, std::memory_order_relaxed);
-            return true;
-        }
-        return false;
-    }
+    bool stopRequested() const;
 
     /**
      * Recording gate: true only on a hard stop. `record()` keeps
@@ -269,58 +233,70 @@ class SearchControl
     size_t maxSamples() const { return max_samples_; }
 
     /**
-     * Account one recorded sample and fire the streaming callback;
-     * called by `SearchResult::record` from the serial merge path.
-     * Requests a stop when the callback cancels or the sample budget
-     * is exhausted.
+     * Account one recorded sample and stream it (`onSample`, then
+     * `onImprovement` when it improved); called by
+     * `SearchResult::record` from the serial merge path. Requests a
+     * stop when the observer cancels or the sample budget is
+     * exhausted.
      */
-    void
-    onRecord(double edp, double best_edp, bool improved)
-    {
-        size_t n = samples_.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (on_sample_ && !on_sample_(n, edp, best_edp, improved))
-            requestStop();
-        if (max_samples_ != 0 && n >= max_samples_)
-            requestStop();
-    }
-
-    /** Announce a searcher lifecycle phase. */
-    void
-    phase(const char *name)
-    {
-        if (on_phase_)
-            on_phase_(name);
-    }
-
-    /** Install the frontier-entry callback (multi-objective runs). */
-    void
-    setFrontierCallback(FrontierFn on_frontier)
-    {
-        on_frontier_ = std::move(on_frontier);
-    }
+    void onRecord(double edp, double best_edp, bool improved);
 
     /**
-     * Announce a frontier entry; called by
-     * `SearchResult::mergeOutcome` from the serial merge path, right
-     * after the entering sample's `onRecord`.
+     * Stream a frontier entry; called by `SearchResult` from the
+     * serial merge path, right after the entering sample's
+     * `onRecord`.
      */
-    void
-    frontier(const ParetoPoint &point, size_t front_size)
-    {
-        if (on_frontier_)
-            on_frontier_(point, front_size);
-    }
+    void frontier(const ParetoPoint &point, size_t front_size);
+
+    /**
+     * Announce a searcher lifecycle phase. `name` must be a string
+     * literal: the open trace span keeps the pointer.
+     */
+    void phase(const char *name);
 
   private:
     std::atomic<bool> stop_{false};
     mutable std::atomic<bool> deadline_hit_{false};
     std::atomic<size_t> samples_{0};
     size_t max_samples_ = 0;
-    bool has_deadline_ = false;
-    std::chrono::steady_clock::time_point deadline_{};
-    SampleFn on_sample_;
-    PhaseFn on_phase_;
-    FrontierFn on_frontier_;
+    /** Seconds after `start_` at which compute stops (0 = none). */
+    double deadline_s_ = 0.0;
+    std::chrono::steady_clock::time_point start_{};
+    SearchObserver *observer_ = nullptr;
+    /** The announced phase whose trace span is open, or null. */
+    const char *phase_ = nullptr;
+    uint64_t phase_start_ns_ = 0;
+};
+
+/**
+ * Everything one parallel work unit (a DOSA start point, a random
+ * hardware design) contributes, recorded locally so units can run on
+ * any thread and merge in unit order: its samples in stream order,
+ * its best design, and the designs that entered its local Pareto
+ * front. A design its own unit dominates is dominated globally too,
+ * so only local front entries travel to `SearchResult::merge`.
+ */
+struct UnitRecord
+{
+    /** Per-sample EDPs in stream order (+inf = no valid design). */
+    std::vector<double> samples;
+    double best_edp = std::numeric_limits<double>::infinity();
+    HardwareConfig best_hw;
+    std::vector<Mapping> best_mappings;
+    /** Local front entries, ordered by `sample_offset`. */
+    std::vector<ParetoCandidate> candidates;
+    /** The local front. Configure it to the run's axes on
+     *  multi-objective runs; while its axes are inactive (the
+     *  default), no design becomes a candidate. */
+    ParetoFront local;
+
+    /**
+     * Record a scored concrete design as the next sample: it becomes
+     * the best design on a strict EDP improvement and a candidate
+     * when it enters the local front.
+     */
+    void recordDesign(const NetworkEval &eval, const HardwareConfig &hw,
+                      const std::vector<Mapping> &mappings);
 };
 
 /** Outcome of a co-search run. */
@@ -333,7 +309,7 @@ struct SearchResult
     std::vector<double> trace;
     /**
      * Non-dominated frontier over the enabled Pareto axes. Empty for
-     * single-objective runs (searchers only feed it candidates when
+     * single-objective runs (searchers configure it only when
      * `mode.pareto.active()`); its insertion order is deterministic —
      * serial == parallel byte-identical, like the trace.
      */
@@ -349,34 +325,32 @@ struct SearchResult
      */
     SearchControl *control = nullptr;
 
-    /** Record a sample, maintaining the monotone best-so-far trace. */
-    void record(double edp);
+    /**
+     * Record a sample, maintaining the monotone best-so-far trace.
+     * False when a hard stop dropped it.
+     */
+    bool record(double edp);
 
     /**
-     * Merge one work unit's outcome — its samples in stream order
-     * plus the best design it found (`unit_best_edp`, `hw`,
-     * `mappings`) — maintaining the consistency contract: an
-     * installed design always scores exactly `best_edp`. The design
-     * is installed only if the unit's winning sample actually landed
-     * in the trace; if a hard stop dropped that sample after other
-     * recorded samples already improved past the previously
-     * installed design, the stale design is cleared rather than
-     * reported. For full (unstopped) merges this is bitwise-
-     * identical to the historical pre-record strict-< install.
-     *
-     * Multi-objective runs additionally pass the unit's
-     * frontier-entering samples (`frontier_candidates`, ordered by
-     * `sample_offset` within `samples`): each candidate whose sample
-     * landed in the trace is re-offered to the global `frontier`,
-     * and an accepted entry fires `SearchControl::frontier` right
-     * after the sample's own record. Candidates whose sample a hard
-     * stop dropped are dropped with it.
+     * Record one scored concrete design as one sample (the serial
+     * searchers): it becomes the best design when it strictly
+     * improves `best_edp`, and is offered to `frontier`.
      */
-    void mergeOutcome(std::span<const double> samples,
-                      double unit_best_edp, const HardwareConfig &hw,
-                      const std::vector<Mapping> &mappings,
-                      std::span<const ParetoCandidate>
-                              frontier_candidates = {});
+    void recordDesign(const NetworkEval &eval, const HardwareConfig &hw,
+                      const std::vector<Mapping> &mappings);
+
+    /**
+     * Merge one work unit's record, maintaining the consistency
+     * contract: an installed design always scores exactly
+     * `best_edp`. The unit's best design is installed only if its
+     * winning sample actually landed in the trace; if a hard stop
+     * dropped that sample after other recorded samples already
+     * improved past the previously installed design, the stale
+     * design is cleared rather than reported. Each frontier
+     * candidate whose sample landed is re-offered to `frontier`;
+     * candidates whose sample a hard stop dropped go with it.
+     */
+    void merge(const UnitRecord &unit);
 
     /**
      * Pre-reserve trace capacity for a planned sample count (capped
@@ -385,6 +359,31 @@ struct SearchResult
      * a time.
      */
     void reserveTrace(size_t planned);
+
+  private:
+    /** Offer a landed sample's point to `frontier`; stream an entry. */
+    void offer(ParetoPoint point);
+};
+
+/**
+ * Outcome of one facade run: the shared `SearchResult` (best design
+ * + monotone trace) plus the DOSA-only start-point attribution that
+ * Fig. 9 reports (left at +inf / default by the other algorithms).
+ *
+ * Consistency contract: `search.best_edp` always equals the minimum
+ * of the recorded trace, and an installed `best_hw`/`best_mappings`
+ * always scores exactly `best_edp`. When a run is cancelled (or hits
+ * its budget/deadline) before the winning sample is recorded, the
+ * design stays empty rather than reporting a design better than the
+ * truncated trace claims.
+ */
+struct SearchReport
+{
+    SearchResult search;
+    /** "dosa" only: reference EDP of the best start point (Fig. 9). */
+    double best_start_edp = std::numeric_limits<double>::infinity();
+    /** "dosa" only: hardware of the best start point. */
+    HardwareConfig best_start_hw;
 };
 
 /** Random hardware design point (log-uniform over the design ranges). */

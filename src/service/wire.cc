@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "api/spec_json.hh"
+#include "obs/trajectory.hh"
 #include "util/json.hh"
 
 namespace dosa::service {
@@ -455,7 +456,7 @@ statsFrame(const std::string &id, const std::string &service_name,
            uint64_t stats_window, const obs::MetricsSnapshot &metrics)
 {
     json::Value v = frameEnvelope("stats", id);
-    v.set("schema", json::Value::number(kStatsSchema));
+    v.set("schema", json::Value::number(obs::kTelemetrySchema));
     v.set("name", json::Value::string(service_name));
     v.set("version", json::Value::string(service_version));
     json::Value eps = json::Value::array();

@@ -45,13 +45,6 @@
 
 namespace dosa::service {
 
-/**
- * Version of the `stats` frame schema (and the `BENCH_*.json`
- * trajectory lines, which carry the same `schema` field). Bump when
- * a decoder would otherwise have to guess the shape.
- */
-inline constexpr uint64_t kStatsSchema = 1;
-
 /** One decoded client request. */
 struct Request
 {
@@ -144,7 +137,7 @@ struct Frame
     std::string message;
 
     // -- Stats
-    /** Stats-frame schema version (kStatsSchema at encode time). */
+    /** Stats-frame schema version (obs::kTelemetrySchema at encode time). */
     uint64_t schema = 0;
     std::string service_name;
     std::string service_version;
@@ -181,7 +174,7 @@ std::string pongFrame(const std::string &id);
 /**
  * Encode the `stats` reply frame: endpoint stats plus the retention
  * window they cover, the process-wide metrics snapshot and the
- * `schema` version (kStatsSchema).
+ * `schema` version (obs::kTelemetrySchema).
  */
 std::string statsFrame(const std::string &id,
                        const std::string &service_name,

@@ -2,7 +2,8 @@
  * @file
  * The golden-trace fixtures shared by the test suites: the canonical
  * two-layer workload, one fixed-seed `SearchSpec` per builtin
- * searcher, the reader of the `tests/golden/<algorithm>.trace` files
+ * searcher (single-objective, and multi-objective for the frontier
+ * fixture), the reader of the `tests/golden/<algorithm>.trace` files
  * and the bitwise comparison against them.
  *
  * A fixture holds a run's trace, best EDP and best hardware, written
@@ -92,6 +93,35 @@ goldenSpecs()
 {
     return {goldenDosaSpec(), goldenRandomSpec(), goldenMapperSpec(),
             goldenBayesOptSpec()};
+}
+
+/**
+ * The multi-objective golden specs: one per builtin searcher, in
+ * registration order, with the area and power axes enabled.
+ */
+inline std::vector<SearchSpec>
+goldenParetoSpecs()
+{
+    std::vector<SearchSpec> specs(4);
+    specs[0].algorithm = "dosa";
+    specs[0].seed = 5;
+    specs[0].options.set("start_points", 2)
+            .set("steps_per_start", 20)
+            .set("round_every", 10);
+    specs[1].algorithm = "random";
+    specs[1].seed = 3;
+    specs[1].options.set("hw_designs", 4).set("mappings_per_hw", 25);
+    specs[2].algorithm = "mapper";
+    specs[2].seed = 17;
+    specs[2].options.set("samples", 40);
+    specs[2].fixed_hw = HardwareConfig{16, 32, 128};
+    specs[3] = goldenBayesOptSpec();
+    for (SearchSpec &spec : specs) {
+        spec.workload = goldenLayers();
+        spec.mode.pareto.area.enabled = true;
+        spec.mode.pareto.power.enabled = true;
+    }
+    return specs;
 }
 
 /** Fixture path of a searcher, from the source tree baked in by CMake. */

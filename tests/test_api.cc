@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests of the `src/api` search facade: registry round-trips,
+ * Unit tests of the `src/api` search facade: searcher-table lookups,
  * the observer streaming contract (sample accounting, improvement
  * events, phases), cooperative cancellation and deadline enforcement,
  * budget-derived option defaults, trace pre-reservation, option
@@ -41,59 +41,12 @@ TEST(ApiRegistry, FindRoundTripsEveryRegisteredName)
         const Searcher *searcher = Search::find(name);
         ASSERT_NE(searcher, nullptr) << name;
         EXPECT_EQ(name, searcher->name());
-        EXPECT_NE(searcher->description()[0], '\0') << name;
     }
 }
 
 TEST(ApiRegistry, UnknownNameIsNull)
 {
     EXPECT_EQ(Search::find("no-such-searcher"), nullptr);
-}
-
-/** Minimal custom searcher for the registration tests. */
-class StubSearcher : public Searcher
-{
-  public:
-    explicit StubSearcher(const char *desc) : desc_(desc) {}
-
-    const char *name() const override { return "stub-algo"; }
-    const char *description() const override { return desc_; }
-
-    std::vector<SearcherOption> options() const override
-    {
-        return {};
-    }
-
-    size_t plannedSamples(const SearchSpec &) const override
-    {
-        return 1;
-    }
-
-    SearchReport run(const SearchSpec &, SearchControl &) const override
-    {
-        return {};
-    }
-
-  private:
-    const char *desc_;
-};
-
-TEST(ApiRegistry, CustomRegistrationAndLatestWinsShadowing)
-{
-    static const StubSearcher first("first");
-    Search::registerSearcher(&first);
-    EXPECT_EQ(Search::find("stub-algo"), &first);
-    std::vector<std::string> algos = Search::algorithms();
-    EXPECT_NE(std::find(algos.begin(), algos.end(), "stub-algo"),
-            algos.end());
-    // "stub-algo" appears once in the list even after shadowing.
-    static const StubSearcher second("second");
-    Search::registerSearcher(&second);
-    EXPECT_EQ(Search::find("stub-algo"), &second);
-    algos = Search::algorithms();
-    EXPECT_EQ(std::count(algos.begin(), algos.end(), "stub-algo"), 1);
-    // The builtins are never displaced by unrelated registrations.
-    EXPECT_NE(Search::find("dosa"), nullptr);
 }
 
 /** Observer counting every event for the accounting tests. */
@@ -317,6 +270,22 @@ TEST(ApiDeadline, ComputedSamplesSurviveTheDeadline)
     EXPECT_FALSE(report.search.best_mappings.empty());
 }
 
+TEST(ApiDeadline, DeadlinesPastTheClockRangeNeverFire)
+{
+    // A deadline the steady clock cannot represent could never fire.
+    // Converting it to clock ticks overflowed (undefined behaviour),
+    // and in a release build landed the deadline in the past, so the
+    // run stopped before its first sample.
+    for (double deadline : {1e10, 1e300,
+                 std::numeric_limits<double>::infinity()}) {
+        SearchSpec spec = goldenMapperSpec();
+        spec.options.set("samples", 200);
+        spec.budget.deadline_s = deadline;
+        SearchReport report = runSearch(spec);
+        EXPECT_EQ(report.search.trace.size(), 200u) << deadline;
+    }
+}
+
 TEST(ApiDeterminism, SerialEqualsParallelForEveryAlgorithm)
 {
     for (const SearchSpec &base : goldenSpecs()) {
@@ -412,6 +381,21 @@ TEST(ApiSpecValidation, RejectsNumbersThatWouldLeaveInt)
                 std::string::npos)
                 << error;
     }
+}
+
+TEST(ApiSpecValidation, RejectsNegativeAndNaNDeadlines)
+{
+    std::string error;
+    for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+        SearchSpec spec = goldenMapperSpec();
+        spec.budget.deadline_s = bad;
+        EXPECT_FALSE(validateSpec(spec, error)) << bad;
+        EXPECT_NE(error.find("budget"), std::string::npos) << error;
+    }
+    // Too far out to ever fire is a valid deadline.
+    SearchSpec spec = goldenMapperSpec();
+    spec.budget.deadline_s = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(validateSpec(spec, error)) << error;
 }
 
 TEST(ApiSpecValidation, RejectsHardwareSizesBelowOne)

@@ -205,7 +205,7 @@ TEST(Objective, LatencyScorerInstalledOrReference)
                               const HardwareConfig &) {
         return static_cast<double>(l.k) * 2.0;
     };
-    NetworkEval scored = scoreDesign(layers, mappings, hw, scorer);
+    NetworkEval scored = referenceNetworkEval(layers, mappings, hw, scorer);
     NetworkEval ref = referenceNetworkEval(layers, mappings, hw);
     double latency = 0.0;
     for (const Layer &l : layers)
@@ -215,7 +215,7 @@ TEST(Objective, LatencyScorerInstalledOrReference)
     EXPECT_EQ(scored.energy_uj, ref.energy_uj);
 
     // Empty scorer: reference-model latency.
-    NetworkEval empty = scoreDesign(layers, mappings, hw, {});
+    NetworkEval empty = referenceNetworkEval(layers, mappings, hw, {});
     EXPECT_EQ(empty.latency, ref.latency);
     EXPECT_EQ(empty.edp, ref.edp);
 }
@@ -282,7 +282,7 @@ TEST(RoundAndScore, ProducesFittingDesign)
     EXPECT_EQ(d.mappings.size(), net.layers.size());
     NetworkEval ev = referenceNetworkEval(net.layers, d.mappings, d.hw);
     EXPECT_TRUE(ev.fits);
-    EXPECT_NEAR(ev.edp, d.edp, 1e-9 * ev.edp);
+    EXPECT_NEAR(ev.edp, d.eval.edp, 1e-9 * ev.edp);
 }
 
 TEST(SelectOrders, NeverWorseThanUniformWs)

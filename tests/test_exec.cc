@@ -283,8 +283,9 @@ TEST(ExecDeterminism, ScoredSearchersSerialEqualParallel)
                 const SearchResult &r = report->search;
                 ASSERT_EQ(r.best_mappings.size(), workload.size())
                         << where;
-                EXPECT_EQ(scoreDesign(workload, r.best_mappings,
-                                  r.best_hw, spec.scorer)
+                EXPECT_EQ(referenceNetworkEval(workload,
+                                  r.best_mappings, r.best_hw,
+                                  spec.scorer)
                                   .edp,
                         r.best_edp)
                         << where;

@@ -10,6 +10,12 @@
  * behavior change has to regenerate the fixtures and show up in
  * review.
  *
+ * The multi-objective runs are pinned the same way: for each of the
+ * four `goldenParetoSpecs()`, `tests/golden/pareto.frontier` holds
+ * the frontier event stream (trace index, EDP, area and power as hex
+ * floats, front size) and the final front's points (trace index and
+ * hardware).
+ *
  * Regenerate with:  DOSA_REGEN_GOLDEN=1 ./test_golden_traces
  *
  * The fixtures are bit-exact with respect to the libm they were
@@ -24,7 +30,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "golden.hh"
 
@@ -75,6 +84,72 @@ checkAgainstGolden(const SearchSpec &spec)
     if (::testing::Test::HasFatalFailure())
         return;
     expectBitwiseEqual(spec.algorithm, r, g);
+}
+
+/** Keeps every frontier event of one run. */
+struct FrontierRecorder : SearchObserver
+{
+    std::vector<FrontierEvent> events;
+
+    void
+    onFrontier(const FrontierEvent &event) override
+    {
+        events.push_back(event);
+    }
+};
+
+/**
+ * The frontier fixture's text for the live runs of every
+ * `goldenParetoSpecs()` entry; %a makes text equality bitwise
+ * equality.
+ */
+std::string
+liveFrontierText()
+{
+    std::string out = "# golden multi-objective frontiers; regenerate "
+                      "with DOSA_REGEN_GOLDEN=1 ./test_golden_traces\n";
+    char line[256];
+    for (const SearchSpec &spec : goldenParetoSpecs()) {
+        FrontierRecorder recorder;
+        const ParetoFront front = runSearch(spec, &recorder).search.frontier;
+        std::snprintf(line, sizeof(line), "%s events %zu\n",
+                spec.algorithm.c_str(), recorder.events.size());
+        out += line;
+        for (const FrontierEvent &e : recorder.events) {
+            std::snprintf(line, sizeof(line), "%zu %a %a %a %zu\n",
+                    e.index, e.edp, e.area_mm2, e.power_w, e.front_size);
+            out += line;
+        }
+        std::snprintf(line, sizeof(line), "%s front %zu\n",
+                spec.algorithm.c_str(), front.size());
+        out += line;
+        for (const ParetoPoint &p : front.points()) {
+            std::snprintf(line, sizeof(line), "%zu %lld %lld %lld\n",
+                    p.sample_index, static_cast<long long>(p.hw.pe_dim),
+                    static_cast<long long>(p.hw.accum_kib),
+                    static_cast<long long>(p.hw.spad_kib));
+            out += line;
+        }
+    }
+    return out;
+}
+
+TEST(GoldenFrontier, EverySearcherStreamsThePinnedFront)
+{
+    const std::string path =
+            std::string(DOSA_SOURCE_DIR) + "/tests/golden/pareto.frontier";
+    const std::string live = liveFrontierText();
+    if (regenRequested()) {
+        std::ofstream(path) << live;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing fixture " << path
+                    << " — run DOSA_REGEN_GOLDEN=1 ./test_golden_traces";
+    std::stringstream pinned;
+    pinned << in.rdbuf();
+    // A drift prints as a line diff of the two texts.
+    EXPECT_EQ(live, pinned.str());
 }
 
 TEST(GoldenTrace, DosaSearch)

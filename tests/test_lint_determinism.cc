@@ -83,6 +83,9 @@ TEST(LintRules, WallClockFiresOnEveryClockReadWithExactLines)
         {8, "wall-clock"},  // system_clock::now
         {9, "wall-clock"},  // high_resolution_clock::now
         {10, "wall-clock"}, // time(nullptr)
+        {16, "wall-clock"}, // using Clock = steady_clock
+        {17, "wall-clock"}, // typedef system_clock WallClock
+        {18, "wall-clock"}, // using Precise = high_resolution_clock
     };
     EXPECT_EQ(lineRules(findings), expected);
 }
@@ -113,6 +116,9 @@ TEST(LintRules, PathScopingExemptsTheRuleHomes)
     EXPECT_TRUE(lintFile("src/service/search_service.cc", clock).empty());
     EXPECT_TRUE(lintFile("bench/bench_fig7.cc", clock).empty());
     EXPECT_FALSE(lintFile("src/search/random_search.cc", clock).empty());
+    const std::string alias = "using Clock = std::chrono::steady_clock;\n";
+    EXPECT_TRUE(lintFile("src/service/search_service.cc", alias).empty());
+    EXPECT_FALSE(lintFile("src/search/search_common.cc", alias).empty());
 
     const std::string unordered = "#include <unordered_map>\n";
     EXPECT_TRUE(lintFile("src/util/divisors.cc", unordered).empty());

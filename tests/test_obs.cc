@@ -481,7 +481,7 @@ TEST(ObsService, RequestLifecycleSpansAndEnrichedStatsFrame)
     // The stats frame is versioned, reports its retention window and
     // carries the process-wide metrics snapshot.
     ASSERT_EQ(stats.kind, Frame::Kind::Stats);
-    EXPECT_EQ(stats.schema, service::kStatsSchema);
+    EXPECT_EQ(stats.schema, obs::kTelemetrySchema);
     EXPECT_EQ(stats.stats_window, 1024u); // ServiceConfig default
     EXPECT_GE(stats.metrics.counters.at("service.search.admitted"),
             1u);

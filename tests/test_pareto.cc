@@ -17,6 +17,7 @@
 #include "api/search_api.hh"
 #include "arch/area_model.hh"
 #include "core/objective.hh"
+#include "golden.hh"
 #include "search/cosa_mapper.hh"
 #include "search/search_common.hh"
 #include "util/rng.hh"
@@ -245,42 +246,6 @@ struct FrontierRecorder : SearchObserver
     }
 };
 
-std::vector<Layer>
-searchLayers()
-{
-    return {Layer::gemm("a", 128, 64, 256),
-            Layer::conv("b", 3, 16, 32, 64)};
-}
-
-std::vector<SearchSpec>
-paretoSpecs()
-{
-    std::vector<SearchSpec> specs(4);
-    specs[0].algorithm = "dosa";
-    specs[0].seed = 5;
-    specs[0].options.set("start_points", 2)
-            .set("steps_per_start", 20)
-            .set("round_every", 10);
-    specs[1].algorithm = "random";
-    specs[1].seed = 3;
-    specs[1].options.set("hw_designs", 4).set("mappings_per_hw", 25);
-    specs[2].algorithm = "mapper";
-    specs[2].seed = 17;
-    specs[2].options.set("samples", 40);
-    specs[2].fixed_hw = HardwareConfig{16, 32, 128};
-    specs[3].algorithm = "bayesopt";
-    specs[3].seed = 21;
-    specs[3].options.set("warmup_samples", 6)
-            .set("total_samples", 14)
-            .set("hw_candidates", 3)
-            .set("map_candidates", 4);
-    for (SearchSpec &spec : specs) {
-        spec.workload = searchLayers();
-        spec.mode.pareto = allAxes();
-    }
-    return specs;
-}
-
 void
 expectSameEvents(const std::vector<FrontierEvent> &a,
                  const std::vector<FrontierEvent> &b)
@@ -297,7 +262,7 @@ expectSameEvents(const std::vector<FrontierEvent> &a,
 
 TEST(ParetoDeterminism, SerialEqualsParallelForAllSearchers)
 {
-    for (SearchSpec spec : paretoSpecs()) {
+    for (SearchSpec spec : goldenParetoSpecs()) {
         spec.jobs = 1;
         FrontierRecorder serial;
         SearchReport serial_report = runSearch(spec, &serial);
@@ -330,7 +295,7 @@ TEST(ParetoDeterminism, SerialEqualsParallelForAllSearchers)
 
 TEST(ParetoDeterminism, FrontierPointsAreMutuallyNonDominated)
 {
-    for (SearchSpec spec : paretoSpecs()) {
+    for (SearchSpec spec : goldenParetoSpecs()) {
         spec.jobs = 3;
         SearchReport report = runSearch(spec);
         const auto &pts = report.search.frontier.points();
@@ -354,7 +319,7 @@ TEST(ParetoDeterminism, FrontierPointsAreMutuallyNonDominated)
 
 TEST(ParetoDeterminism, SingleObjectiveRunsStreamNoFrontier)
 {
-    SearchSpec spec = paretoSpecs()[1];
+    SearchSpec spec = goldenParetoSpecs()[1];
     spec.mode.pareto = ParetoObjectives{}; // edp only: not active
     spec.jobs = 2;
     FrontierRecorder recorder;
@@ -368,7 +333,7 @@ TEST(ParetoDeterminism, SingleObjectiveRunsStreamNoFrontier)
 
 TEST(ParetoCancellation, InvariantsHoldAfterMidFrontierStop)
 {
-    for (SearchSpec spec : paretoSpecs()) {
+    for (SearchSpec spec : goldenParetoSpecs()) {
         spec.jobs = 2;
         FrontierRecorder recorder;
         recorder.cancel_after = 10;

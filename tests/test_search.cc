@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "api/search_api.hh"
 #include "arch/baselines.hh"
 #include "model/reference.hh"
@@ -240,6 +243,58 @@ TEST(BayesOpt, GuidedPhaseNoWorseThanWarmupBest)
     SearchResult r = runSearch(spec).search;
     double warmup_best = r.trace[size_t(warmup) - 1];
     EXPECT_LE(r.best_edp, warmup_best);
+}
+
+/** Every sample's EDP and every phase of one run. */
+struct SampleLog : SearchObserver
+{
+    std::vector<double> edps;
+    std::vector<std::string> phases;
+
+    void
+    onPhase(const char *phase) override
+    {
+        phases.emplace_back(phase);
+    }
+
+    bool
+    onSample(const SampleEvent &event) override
+    {
+        edps.push_back(event.edp);
+        return true;
+    }
+};
+
+TEST(BayesOpt, ZeroWarmupFitsAfterTheFirstSampleAndGuidesTheRest)
+{
+    // The option table admits warmup_samples 0. The GP is then fitted
+    // after the first (random) sample and guides every later one, so
+    // the run must not replay the all-random run (warmup = total).
+    SearchSpec spec;
+    spec.algorithm = "bayesopt";
+    spec.workload = {Layer::gemm("a", 128, 64, 256),
+            Layer::conv("b", 3, 16, 32, 64)};
+    spec.seed = 21;
+    spec.options.set("warmup_samples", 0)
+            .set("total_samples", 14)
+            .set("hw_candidates", 3)
+            .set("map_candidates", 4);
+    SampleLog zero;
+    SearchResult zero_run = runSearch(spec, &zero).search;
+    spec.options.set("warmup_samples", 14);
+    SampleLog all_random;
+    SearchResult random_run = runSearch(spec, &all_random).search;
+
+    ASSERT_EQ(zero.edps.size(), 14u);
+    ASSERT_EQ(all_random.edps.size(), 14u);
+    EXPECT_EQ(zero.edps[0], all_random.edps[0]);
+    EXPECT_NE(zero.edps, all_random.edps);
+    EXPECT_NE(zero_run.trace, random_run.trace);
+    // "guided" opens at the first GP-guided sample, never before.
+    EXPECT_EQ(zero.phases, (std::vector<std::string>{"setup", "warmup",
+                                   "guided", "done"}));
+    EXPECT_EQ(all_random.phases,
+            (std::vector<std::string>{"setup", "warmup", "done"}));
 }
 
 } // namespace

@@ -932,6 +932,38 @@ TEST(ServiceFaults, DeadlineExpiryReturnsBestSoFar)
             service::RequestRecord::Outcome::Done);
 }
 
+TEST(ServiceFaults, DeadlinePastTheClockRangeStreamsEverySample)
+{
+    // "deadline_s":1e400 decodes to +inf, which validateSpec admits:
+    // a deadline that can never fire. The run must stream every
+    // sample and then `done`, not stop at once.
+    SearchSpec spec = goldenMapperSpec();
+    spec.budget.deadline_s = 7.0;
+    std::string line = service::encodeSearchRequest("far", spec);
+    const std::string token = "\"deadline_s\":7";
+    const size_t at = line.find(token);
+    ASSERT_NE(at, std::string::npos) << line;
+    line.replace(at, token.size(), "\"deadline_s\":1e400");
+
+    SearchService svc;
+    ServiceBus bus(svc);
+    ServiceBus::Client client = bus.connect();
+    client.send(line);
+    std::vector<std::string> frames = collectStream(client);
+    Frame done = terminalFrame(frames);
+    ASSERT_EQ(done.kind, Frame::Kind::Done) << done.message;
+    EXPECT_EQ(done.id, "far");
+    EXPECT_EQ(done.samples, 40u);
+    size_t samples = 0;
+    for (const std::string &frame : frames) {
+        Frame f;
+        std::string error;
+        ASSERT_TRUE(service::decodeFrame(frame, f, error)) << error;
+        samples += f.kind == Frame::Kind::Sample;
+    }
+    EXPECT_EQ(samples, 40u);
+}
+
 TEST(ServiceFaults, QueueFullRejectsWithTypedErrorAndCounts)
 {
     ServiceConfig cfg;

@@ -1,6 +1,10 @@
 // Fixture: mentions of rand() and clocks in comments and strings, and
 // names that only contain an engine's name, must not trip the scanner.
+#include <chrono>
 #include <string>
+
+// Aliasing a clock's time_point type reads no clock.
+using Stamp = std::chrono::steady_clock::time_point;
 
 /* block comment: srand(1); std::random_device; steady_clock::now() */
 std::string docs()

@@ -11,3 +11,9 @@ long stamps()
     return a.time_since_epoch().count() + b.time_since_epoch().count() +
            c.time_since_epoch().count() + long(t);
 }
+
+// Aliases hide the clock from the ::now pattern, so the alias is flagged.
+using Clock = std::chrono::steady_clock;
+typedef std::chrono::system_clock WallClock;
+using Precise = std::chrono :: high_resolution_clock;
+long aliased() { return Clock::now().time_since_epoch().count(); }

@@ -56,7 +56,12 @@ rules()
         {"wall-clock",
          R"((system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b)"
          R"(|\bclock_gettime\b|\bgettimeofday\b)"
-         R"(|\btime\s*\(\s*(nullptr|NULL|0)?\s*\))",
+         R"(|\btime\s*\(\s*(nullptr|NULL|0)?\s*\))"
+         // An alias hides the clock from the ::now pattern above.
+         R"(|\busing\s+\w+\s*=\s*[\w:\s]*\b)"
+         R"((system_clock|steady_clock|high_resolution_clock)\s*;)"
+         R"(|\btypedef\s+[\w:\s]*\b)"
+         R"((system_clock|steady_clock|high_resolution_clock)\s+\w+\s*;)",
          "wall-clock read outside the timing seams (src/obs, "
          "src/service, bench); clocks on a search path break "
          "serial==parallel determinism",

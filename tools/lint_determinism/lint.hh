@@ -15,11 +15,13 @@
  *   from a spec seed through `Rng::stream`, or serial==parallel
  *   breaks silently.
  * - `wall-clock` — bans wall/steady clock reads (`*_clock::now`,
- *   `time()`, `clock_gettime`, `gettimeofday`) outside the timing
- *   seams that own them: `src/obs/` (tracer timestamps, metric
- *   durations), `src/service/` (endpoint timings), and `bench/`
- *   (self-timing harnesses). A clock read on a search path is a
- *   nondeterminism bug by construction.
+ *   `time()`, `clock_gettime`, `gettimeofday`) and `using`/`typedef`
+ *   aliases of `system_clock`, `steady_clock` and
+ *   `high_resolution_clock` (whose `Alias::now()` the read pattern
+ *   cannot see) outside the timing seams that own them: `src/obs/`
+ *   (tracer timestamps, metric durations), `src/service/` (endpoint
+ *   timings), and `bench/` (self-timing harnesses). A clock read on
+ *   a search path is a nondeterminism bug by construction.
  * - `unordered-iter` — flags `std::unordered_{map,set,...}` in
  *   `src/search/` and `src/core/`: result-path code must not depend
  *   on hash-iteration order, which varies across libstdc++ versions
