@@ -145,8 +145,14 @@ specToJsonValue(const SearchSpec &spec)
     json::Value budget = json::Value::object();
     budget.set("max_samples",
             json::Value::number(int64_t(spec.budget.max_samples)));
-    budget.set("deadline_s",
-            json::Value::number(spec.budget.deadline_s));
+    // An infinite deadline (a wire 1e400 decodes to one) never
+    // fires, exactly like the documented "no deadline" 0; JSON has
+    // no token for it. NaN still panics: validateSpec rejects it.
+    const double deadline = spec.budget.deadline_s;
+    budget.set("deadline_s", json::Value::number(
+            deadline == std::numeric_limits<double>::infinity()
+                    ? 0.0
+                    : deadline));
     v.set("budget", std::move(budget));
 
     v.set("seed", json::Value::number(spec.seed));

@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "service/wire.hh"
+
 namespace dosa::service {
 
 namespace {
@@ -40,13 +42,18 @@ errnoString(int err)
 #endif
 }
 
-/** Write all of `data` to `fd`; false on any error. */
+/**
+ * Write `line` and its '\n' to `fd` in one `send` (tcp_server.hh says
+ * why one), resumed after a partial write; false on any error.
+ */
 bool
-writeAll(int fd, const char *data, size_t len)
+writeLine(int fd, const std::string &line)
 {
+    const std::string data = line + '\n';
     size_t off = 0;
-    while (off < len) {
-        ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
+    while (off < data.size()) {
+        ssize_t n = ::send(fd, data.data() + off, data.size() - off,
+                MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -73,8 +80,7 @@ class SocketSink : public FrameSink
         util::MutexLock lock(mutex_);
         if (closed_)
             return false;
-        if (!writeAll(fd_, frame.data(), frame.size()) ||
-            !writeAll(fd_, "\n", 1)) {
+        if (!writeLine(fd_, frame)) {
             closed_ = true;
             return false;
         }
@@ -192,10 +198,12 @@ TcpServer::readerLoop(std::shared_ptr<Connection> conn)
             continue;
         if (n <= 0)
             break; // EOF or error: the client is gone
+        // Earlier bytes were scanned already: look only at the new ones.
+        const size_t scan = buffer.size();
         buffer.append(chunk, size_t(n));
         size_t start = 0;
-        for (size_t nl = buffer.find('\n', start);
-                nl != std::string::npos;
+        for (size_t nl = buffer.find('\n', scan);
+                nl != std::string::npos && nl - start <= kMaxLineBytes;
                 nl = buffer.find('\n', start)) {
             std::string line = buffer.substr(start, nl - start);
             start = nl + 1;
@@ -203,6 +211,13 @@ TcpServer::readerLoop(std::shared_ptr<Connection> conn)
                 line.pop_back();
             if (!line.empty())
                 service_.submit(line, conn->sink);
+        }
+        if (buffer.size() - start > kMaxLineBytes) {
+            conn->sink->send(errorFrame("", errc::bad_request,
+                    "request line exceeds " +
+                            std::to_string(kMaxLineBytes) + " bytes"));
+            ::shutdown(conn->fd, SHUT_RDWR);
+            break;
         }
         buffer.erase(0, start);
     }
@@ -311,8 +326,7 @@ TcpClient::sendLine(const std::string &line)
 {
     if (fd_ < 0)
         return false;
-    return writeAll(fd_, line.data(), line.size()) &&
-           writeAll(fd_, "\n", 1);
+    return writeLine(fd_, line);
 }
 
 bool

@@ -12,6 +12,21 @@
  * service turns into cooperative cancellation, same as the bus
  * transport.
  *
+ * Both ends send each line and its '\n' in one write. Written
+ * separately, the one-byte delimiter waits behind the line: Nagle's
+ * algorithm (RFC 896) holds a small segment while earlier data is
+ * unacknowledged, and the peer's delayed ACK (RFC 1122; at least
+ * 40 ms on Linux) releases it, which stalled every round trip.
+ * `TCP_NODELAY` is not set yet. It would also stop Nagle from holding
+ * a search's later frames behind its first, but the repository
+ * benchmark's `service-loopback` `peak_rss_mb` and `setup_s` grow
+ * with the repetitions its Python parent keeps, and so with run
+ * speed; it waits for that benchmark change (docs/ARCHITECTURE.md).
+ *
+ * A request line longer than `TcpServer::kMaxLineBytes` gets a
+ * `bad_request` error frame with an empty id, and the connection
+ * closes; the reader never buffers more than that plus one chunk.
+ *
  * `TcpClient` is the matching blocking client: connect, send request
  * lines, read reply frames line by line. Used by the end-to-end
  * test, the smoke bench and the example daemon/client pair.
@@ -21,6 +36,7 @@
 #define DOSA_SERVICE_TCP_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,6 +59,12 @@ class TcpServer
      *                the chosen one back with `port()`).
      */
     explicit TcpServer(SearchService &service, uint16_t port = 0);
+
+    /**
+     * Longest request line accepted, '\n' excluded. The largest file
+     * in workloads/ is under 3 KB.
+     */
+    static constexpr size_t kMaxLineBytes = size_t(1) << 20;
 
     /** Stops (idempotently) and joins every thread. */
     ~TcpServer();

@@ -6,6 +6,8 @@
 
 #include <cmath>
 
+#include "util/logging.hh"
+
 namespace dosa {
 
 Mt19937_64::Mt19937_64(uint64_t seed)
@@ -49,6 +51,15 @@ Rng::uniformReal(double lo, double hi)
 double
 Rng::gaussian(double mean, double stddev)
 {
+    if (!(stddev >= 0.0))
+        panic("Rng::gaussian: stddev must be >= 0");
+    if (stddev == 0.0) {
+        // std::normal_distribution requires stddev > 0. Its draw count
+        // does not depend on its parameters, so a discarded unit draw
+        // leaves the engine where any positive stddev would.
+        std::normal_distribution<double>(mean, 1.0)(engine_);
+        return mean;
+    }
     std::normal_distribution<double> dist(mean, stddev);
     return dist(engine_);
 }

@@ -90,7 +90,11 @@ class Rng
     /** Uniform real in [lo, hi). */
     double uniformReal(double lo, double hi);
 
-    /** Standard normal draw scaled by stddev. */
+    /**
+     * Standard normal draw scaled by stddev. `stddev` 0 returns
+     * `mean` and consumes the draws a positive one would; a negative
+     * or NaN `stddev` panics.
+     */
     double gaussian(double mean = 0.0, double stddev = 1.0);
 
     /** Log-uniform real in [lo, hi); requires 0 < lo <= hi. */

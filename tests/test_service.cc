@@ -7,17 +7,28 @@
  * equivalence with direct `runSearch` for all four searchers
  * (anchored to the tests/golden/ fixtures), concurrent-determinism,
  * fault injection (client disconnect, deadline expiry, queue-full
- * admission, shutdown) and a TCP end-to-end pass.
+ * admission, shutdown) and the TCP transport: an end-to-end pass,
+ * loopback round-trip latency and the request-line cap.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -259,6 +270,27 @@ TEST(SpecJson, FuzzedSpecsRoundTripBitwise)
     EXPECT_GT(bad_sizes, 0);
 }
 
+TEST(SpecJson, EveryAdmittedDeadlineRoundTripsAndRunsTheSame)
+{
+    // validateSpec admits +inf (a wire 1e400 decodes to it); it
+    // encodes as 0, the "no deadline" that runs identically.
+    for (double deadline : {0.0, 7.0, 1e10, 1e300,
+                 std::numeric_limits<double>::infinity()}) {
+        SearchSpec spec = goldenMapperSpec();
+        spec.budget.deadline_s = deadline;
+        std::string error;
+        ASSERT_TRUE(validateSpec(spec, error)) << deadline << ": " << error;
+        SearchSpec decoded;
+        ASSERT_TRUE(specFromJson(specToJson(spec), decoded, error))
+                << deadline << ": " << error;
+        ASSERT_TRUE(validateSpec(decoded, error))
+                << deadline << ": " << error;
+        EXPECT_EQ(runSearch(decoded).search.trace,
+                runSearch(spec).search.trace)
+                << deadline;
+    }
+}
+
 TEST(SpecJson, RejectsUnknownKeysTypeMismatchesAndBadEnums)
 {
     SearchSpec decoded;
@@ -369,6 +401,13 @@ TEST(SpecJsonDeathTest, EncoderPanicsOnProcessLocalFields)
         return 1.0;
     });
     EXPECT_DEATH((void)specToJson(spec), "process-local");
+}
+
+TEST(SpecJsonDeathTest, EncoderPanicsOnANaNDeadline)
+{
+    SearchSpec spec = goldenMapperSpec();
+    spec.budget.deadline_s = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH((void)specToJson(spec), "non-finite");
 }
 
 // ---------------------------------------------------------------
@@ -1199,6 +1238,119 @@ TEST(ServiceTcp, ClientDisconnectOverSocketCancelsTheSearch)
 
     server.stop();
     svc.shutdown();
+}
+
+/** Median of 21 round trips of `request` (one reply line each). */
+double
+medianRoundTripMs(service::TcpClient &client, const std::string &request)
+{
+    // LINT-ALLOW(wall-clock): the test times the transport itself
+    using Clock = std::chrono::steady_clock;
+    std::vector<double> ms;
+    std::string line;
+    for (int i = 0; i < 21; ++i) {
+        const Clock::time_point t0 = Clock::now();
+        EXPECT_TRUE(client.sendLine(request));
+        EXPECT_TRUE(client.receiveLine(line));
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                Clock::now() - t0)
+                        .count());
+    }
+    std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+    return ms[10];
+}
+
+TEST(ServiceTcp, RoundTripsStayUnderHalfADelayedAckTick)
+{
+    // A line and its '\n' sent as two writes left the delimiter to
+    // Nagle's algorithm until the peer's delayed ACK (>= 40 ms on
+    // Linux): about 88 ms per ping or stats round trip.
+    SearchService svc;
+    service::TcpServer server(svc, 0);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    service::TcpClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+            << error;
+
+    // Linux quick-ACKs a connection's first segments: warm up first.
+    std::string line;
+    ASSERT_TRUE(client.sendLine(service::encodePingRequest("warm")));
+    ASSERT_TRUE(client.receiveLine(line));
+
+    // Medians, so one slow round trip on a loaded runner cannot fail.
+    EXPECT_LT(medianRoundTripMs(client,
+                      service::encodePingRequest("p")),
+            20.0);
+    EXPECT_LT(medianRoundTripMs(client,
+                      service::encodeStatsRequest("s")),
+            20.0);
+}
+
+TEST(ServiceTcp, OverlongRequestLineGetsBadRequestAndCloses)
+{
+    SearchService svc;
+    service::TcpServer server(svc, 0);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    service::TcpClient bystander;
+    ASSERT_TRUE(bystander.connect("127.0.0.1", server.port(), error))
+            << error;
+
+    // A raw socket, since TcpClient sends only whole lines. Its
+    // timeouts fail a server that keeps buffering instead of hanging.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof(addr)),
+            0)
+            << std::strerror(errno);
+
+    // One byte past the cap, and no newline.
+    const std::string flood(service::TcpServer::kMaxLineBytes + 1, 'x');
+    for (size_t off = 0; off < flood.size();) {
+        const ssize_t n = ::send(fd, flood.data() + off,
+                flood.size() - off, MSG_NOSIGNAL);
+        ASSERT_GT(n, 0) << std::strerror(errno);
+        off += size_t(n);
+    }
+    std::string reply;
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0)
+        reply.append(chunk, size_t(n));
+    EXPECT_EQ(n, 0) << "no EOF: " << std::strerror(errno);
+    ::close(fd);
+
+    ASSERT_FALSE(reply.empty());
+    EXPECT_EQ(reply.back(), '\n');
+    Frame f;
+    ASSERT_TRUE(service::decodeFrame(
+            std::string_view(reply).substr(0, reply.size() - 1), f,
+            error))
+            << reply << ": " << error;
+    EXPECT_EQ(f.kind, Frame::Kind::Error);
+    EXPECT_EQ(f.code, service::errc::bad_request);
+    EXPECT_EQ(f.id, "");
+    EXPECT_NE(f.message.find(
+                      std::to_string(service::TcpServer::kMaxLineBytes)),
+            std::string::npos)
+            << f.message;
+
+    // The other connection is still served.
+    std::string line;
+    ASSERT_TRUE(bystander.sendLine(service::encodePingRequest("b")));
+    ASSERT_TRUE(bystander.receiveLine(line));
+    ASSERT_TRUE(service::decodeFrame(line, f, error)) << error;
+    EXPECT_EQ(f.kind, Frame::Kind::Pong);
 }
 
 } // namespace

@@ -166,6 +166,30 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(var, 4.0, 0.3);
 }
 
+TEST(Rng, ZeroStddevGaussianReturnsTheMeanAndKeepsTheDrawCount)
+{
+    // std::normal_distribution requires stddev > 0; a zero stddev
+    // must still consume the draws a positive one does, or every
+    // later draw of the stream would move.
+    for (uint64_t seed : {uint64_t(3), uint64_t(77), uint64_t(0xD05A5EED)}) {
+        Rng zero(seed), unit(seed);
+        for (int i = 0; i < 200; ++i) {
+            ASSERT_EQ(zero.gaussian(2.5, 0.0), 2.5);
+            (void)unit.gaussian(2.5, 1.0);
+        }
+        EXPECT_EQ(zero.engine()(), unit.engine()()) << "seed " << seed;
+    }
+}
+
+TEST(RngDeathTest, NegativeOrNaNStddevIsFatal)
+{
+    Rng rng(1);
+    EXPECT_DEATH((void)rng.gaussian(0.0, -1.0), "stddev");
+    EXPECT_DEATH((void)rng.gaussian(
+                         0.0, std::numeric_limits<double>::quiet_NaN()),
+            "stddev");
+}
+
 TEST(Rng, ForkDecorrelates)
 {
     Rng parent(5);
