@@ -157,6 +157,25 @@ Tape::replay(std::span<const double> leaf_values)
             w[i].w0 = on ? 1.0 : 0.0;
             break;
           }
+          case Op::Ramp: {
+            double s0 = a - 1.0;
+            bool up = s0 >= 0.0;
+            double s1 = up ? s0 : 0.0;
+            bool below = s1 <= 1.0;
+            double s2 = below ? s1 : 1.0;
+            double s3 = v[size_t(in[i].p1)] - 1.0;
+            v[i] = s2 * s3 + 1.0;
+            w[i].w0 = up && below ? s3 : 0.0;
+            w[i].w1 = s2;
+            break;
+          }
+          case Op::HingeAcc: {
+            double c = 1.0 - v[size_t(in[i].p1)];
+            bool on = c > 0.0;
+            v[i] = a + (on ? c : 0.0);
+            w[i].w1 = on ? -1.0 : 0.0;
+            break;
+          }
         }
     }
 }

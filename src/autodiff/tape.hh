@@ -58,6 +58,17 @@ constexpr NodeId kNoParent = -1;
  * follows the left operand, matching torch.max). Replay recomputes
  * value and partials from these kinds with the exact expressions the
  * Var layer uses at build time.
+ *
+ * `Ramp` (Eq 6's gated refetch candidate, six nodes: SubC, MaxCR,
+ * MinCR, SubC, Mul, AddC) and `HingeAcc` (one Eq 18 hinge added to a
+ * running sum, three nodes: CSub, Relu, Add) are fused kinds: one
+ * node stands for a chain the objective records many times per
+ * layer, valued with the chain's own expressions, ties included, so
+ * values and adjoints are bit-identical to the chain's for finite
+ * inputs. Every interior node of such a chain has one consumer, and
+ * no other node adds into the chain's outer parents between its
+ * first node and its last, so moving their adjoint contributions to
+ * one node keeps the order of every sum.
  */
 enum class Op : uint8_t
 {
@@ -84,6 +95,8 @@ enum class Op : uint8_t
     MinCL, ///< min(aux, p0), ties to the constant
     MinCR, ///< min(p0, aux), ties to p0
     Relu,  ///< max(p0, 0) with zero gradient at/below 0
+    Ramp,  ///< 1 + clamp(p0 - 1, 0, 1) * (p1 - 1), fused (see above)
+    HingeAcc, ///< p0 + relu(1 - p1), fused (see above)
 };
 
 /**

@@ -92,6 +92,12 @@ operator*(const Var &a, const Var &b)
     double v = a.val_ * b.val_;
     if (!t)
         return Var(v);
+    // A detached exact 1 is the identity: record nothing (why replay
+    // stays sound: var.hh, "Shape invariance").
+    if (a.id_ == kNoParent && a.val_ == 1.0)
+        return b;
+    if (b.id_ == kNoParent && b.val_ == 1.0)
+        return a;
     if (a.id_ != kNoParent && b.id_ != kNoParent)
         return Var::make(t, t->addNode(Op::Mul, a.id_, b.id_, 0.0, v,
                 b.val_, a.val_), v);
@@ -209,6 +215,39 @@ relu(const Var &a)
         return Var(v);
     return Var::make(a.tape_, a.tape_->addNode(Op::Relu, a.id_,
             kNoParent, 0.0, v, on ? 1.0 : 0.0, 0.0), v);
+}
+
+Var
+ramp(const Var &f, const Var &outer)
+{
+    if (f.id_ == kNoParent || outer.id_ == kNoParent) {
+        Var gate = min(max(f - Var(1.0), Var(0.0)), Var(1.0));
+        return Var(1.0) + gate * (outer - Var(1.0));
+    }
+    // The chain's own expressions, so the bits match it (tape.hh).
+    Tape *t = jointTape(f, outer);
+    double s0 = f.val_ - 1.0;
+    bool up = s0 >= 0.0;
+    double s1 = up ? s0 : 0.0;
+    bool below = s1 <= 1.0;
+    double s2 = below ? s1 : 1.0;
+    double s3 = outer.val_ - 1.0;
+    double v = s2 * s3 + 1.0;
+    return Var::make(t, t->addNode(Op::Ramp, f.id_, outer.id_, 0.0, v,
+            up && below ? s3 : 0.0, s2), v);
+}
+
+Var
+hingeAcc(const Var &acc, const Var &f)
+{
+    if (acc.id_ == kNoParent || f.id_ == kNoParent)
+        return acc + relu(Var(1.0) - f);
+    Tape *t = jointTape(acc, f);
+    double c = 1.0 - f.val_;
+    bool on = c > 0.0;
+    double v = acc.val_ + (on ? c : 0.0);
+    return Var::make(t, t->addNode(Op::HingeAcc, acc.id_, f.id_, 0.0, v,
+            1.0, on ? -1.0 : 0.0), v);
 }
 
 Var

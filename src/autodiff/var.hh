@@ -9,12 +9,15 @@
  * panics.
  *
  * Shape invariance: the sequence of nodes an expression records
- * depends only on which operands are taped, never on their values —
- * data-dependent selections (max/min/relu, the softmax shift) encode
- * the chosen branch in the node's partials, not in the graph
- * structure. This is what makes Tape::replay sound: the recorded
- * program at new leaf values is exactly what a fresh build would
- * record.
+ * depends only on which operands are taped and on the values of the
+ * detached constants, never on the taped values — data-dependent
+ * selections (max/min/relu, the softmax shift) encode the chosen
+ * branch in the node's partials, not in the graph structure. A
+ * product with a detached exact 1 records no node; `ObjectiveEngine`
+ * rebuilds whenever its context (layer dims, counts, orders, mode and
+ * weights), and with it any detached constant, changes. This is what
+ * makes Tape::replay sound: the recorded program at new leaf values
+ * is exactly what a fresh build would record.
  */
 
 #ifndef DOSA_AUTODIFF_VAR_HH
@@ -76,6 +79,18 @@ class Var
     friend Var min(const Var &a, const Var &b);
     /** max(a, 0), the Eq. 18 penalty hinge. */
     friend Var relu(const Var &a);
+    /**
+     * 1 + clamp(f - 1, 0, 1) * (outer - 1), Eq 6's gated refetch
+     * candidate: one Op::Ramp node when both operands are taped, else
+     * the unfused max/min chain.
+     */
+    friend Var ramp(const Var &f, const Var &outer);
+    /**
+     * acc + relu(1 - f), one Eq 18 hinge added to a running sum: one
+     * Op::HingeAcc node when both operands are taped, else the
+     * unfused chain.
+     */
+    friend Var hingeAcc(const Var &acc, const Var &f);
 
   private:
     static Var make(Tape *tape, NodeId id, double val);

@@ -152,9 +152,8 @@ ObjectiveEngine::build(const std::vector<Layer> &layers,
         // inferred DRAM residuals), plus normalized spatial-cap hinges.
         for (int lvl = 0; lvl < kNumLevels; ++lvl)
             for (Dim d : kAllDims)
-                penalty = penalty + relu(Var(1.0) - f.t(lvl, d));
-        penalty = penalty + relu(Var(1.0) - f.spatial_c) +
-                  relu(Var(1.0) - f.spatial_k);
+                penalty = hingeAcc(penalty, f.t(lvl, d));
+        penalty = hingeAcc(hingeAcc(penalty, f.spatial_c), f.spatial_k);
         penalty = penalty + relu(f.spatial_c / Var(cap) - Var(1.0)) +
                   relu(f.spatial_k / Var(cap) - Var(1.0));
     }

@@ -160,7 +160,6 @@ refetchMultiplier(const Factors<S> &f, const OrderVec &order,
                   int from_level, Tensor t)
 {
     using std::max;
-    using std::min;
     S best(1.0);
     S outer_prod(1.0);
     for (int j = kNumLevels - 1; j >= from_level; --j) {
@@ -168,11 +167,8 @@ refetchMultiplier(const Factors<S> &f, const OrderVec &order,
         for (Dim d : perm) { // outermost loop first
             const S &fv = f.t(j, d);
             outer_prod = outer_prod * fv;
-            if (dimRelevant(t, d)) {
-                S gate = min(max(fv - S(1.0), S(0.0)), S(1.0));
-                S cand = S(1.0) + gate * (outer_prod - S(1.0));
-                best = max(best, cand);
-            }
+            if (dimRelevant(t, d))
+                best = max(best, ramp(fv, outer_prod));
         }
     }
     return best;

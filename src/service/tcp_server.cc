@@ -105,10 +105,18 @@ class SocketSink : public FrameSink
 
 struct TcpServer::Connection
 {
-    int fd = -1;
+    explicit Connection(int socket_fd)
+        : fd(socket_fd), sink(std::make_shared<SocketSink>(socket_fd))
+    {}
+
+    /** Closed once, by the reader, which alone reads it unlocked. */
+    const int fd;
     std::shared_ptr<SocketSink> sink;
     std::thread reader;
     std::atomic<bool> done{false};
+    util::Mutex mutex;
+    /** False once `fd` is closed: its number may name a new socket. */
+    bool open GUARDED_BY(mutex) = true;
 };
 
 TcpServer::TcpServer(SearchService &service, uint16_t port)
@@ -175,9 +183,7 @@ TcpServer::acceptLoop()
             return;
         }
         reapFinished();
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        conn->sink = std::make_shared<SocketSink>(fd);
+        auto conn = std::make_shared<Connection>(fd);
         {
             util::MutexLock lock(conns_mutex_);
             conns_.push_back(conn);
@@ -222,8 +228,14 @@ TcpServer::readerLoop(std::shared_ptr<Connection> conn)
         buffer.erase(0, start);
     }
     // Fail the sink first so an in-flight search cancels promptly
-    // rather than writing into a dead socket's buffer.
+    // rather than writing into a dead socket's buffer, and so no
+    // frame is written after the close.
     conn->sink->markClosed();
+    {
+        util::MutexLock lock(conn->mutex);
+        ::close(conn->fd);
+        conn->open = false;
+    }
     conn->done.store(true, std::memory_order_release);
 }
 
@@ -244,11 +256,9 @@ TcpServer::reapFinished()
             }
         }
     }
-    for (auto &conn : finished) {
+    for (auto &conn : finished)
         if (conn->reader.joinable())
             conn->reader.join();
-        ::close(conn->fd);
-    }
 }
 
 void
@@ -279,13 +289,13 @@ TcpServer::stop()
     }
     for (auto &conn : conns) {
         conn->sink->markClosed();
-        ::shutdown(conn->fd, SHUT_RDWR);
+        util::MutexLock lock(conn->mutex);
+        if (conn->open)
+            ::shutdown(conn->fd, SHUT_RDWR);
     }
-    for (auto &conn : conns) {
+    for (auto &conn : conns)
         if (conn->reader.joinable())
             conn->reader.join();
-        ::close(conn->fd);
-    }
 }
 
 TcpClient::~TcpClient()

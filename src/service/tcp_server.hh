@@ -101,7 +101,11 @@ class TcpServer
     std::atomic<bool> running_{false};
     std::thread accept_thread_;
     util::Mutex conns_mutex_;
-    /** Live connections; readers join outside the lock (reap/stop). */
+    /**
+     * Connections whose reader is not yet joined. A reader closes its
+     * socket as soon as its client leaves; reap (on accept) and stop
+     * only join it, outside the lock.
+     */
     std::vector<std::shared_ptr<Connection>> conns_
             GUARDED_BY(conns_mutex_);
 };

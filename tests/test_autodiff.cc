@@ -157,6 +157,22 @@ TEST(Autodiff, ReluBelowZeroKillsGradient)
     EXPECT_DOUBLE_EQ(adj[size_t(x.id())], 0.0);
 }
 
+TEST(Autodiff, TimesDetachedOneRecordsNoNode)
+{
+    Tape tape;
+    Var x(tape, 2.5);
+    const size_t nodes = tape.size();
+    Var right = x * Var(1.0);
+    Var left = Var(1.0) * x;
+    EXPECT_EQ(tape.size(), nodes);
+    EXPECT_EQ(right.id(), x.id());
+    EXPECT_EQ(left.id(), x.id());
+    EXPECT_EQ(right.value(), 2.5);
+    // Any other detached factor still records a MulC.
+    (void)(x * Var(-1.0));
+    EXPECT_EQ(tape.size(), nodes + 1);
+}
+
 TEST(Autodiff, DetachedConstantsNeedNoTape)
 {
     Var a(2.0), b(3.0);
@@ -286,6 +302,11 @@ buildAllOps(Tape &tape, const std::vector<double> &xs,
     t = t + max(a, Var(0.7)) + max(Var(0.7), b); // const-right / left
     t = t + min(c, Var(0.2)) + min(Var(0.2), d);
     t = t + relu(a - b) + relu(b - a);      // one side always off
+    // Fused nodes: x0 puts the ramps' f at 1 and 2 (both clamp
+    // edges) and 1.5, x1 at 2.5, -1 and 3; the second hinge is off at
+    // x0 and on at x1, the first at its kink (1 - f == 0) at x0.
+    t = t + ramp(a, c + Var(2.0)) + ramp(b, d) + ramp(a + Var(0.5), b);
+    t = hingeAcc(hingeAcc(t, a), b);
     std::vector<Var> w = ad::softmax({a, b, c, d});
     t = t + w[0] * Var(1.0) + w[1] * Var(2.0) + w[2] * Var(3.0) +
         w[3] * Var(4.0);
@@ -338,6 +359,114 @@ TEST(TapeReplay, BitwiseEqualsFreshBuild)
     reused.gradientInto(out0.id(), adj_back);
     for (size_t i = 0; i < adj0.size(); ++i)
         EXPECT_TRUE(bitEq(adj_back[i], adj0[i]));
+}
+
+/** The node chain Op::Ramp replaces, recorded op by op. */
+Var
+rampChain(const Var &f, const Var &outer)
+{
+    Var gate = min(max(f - Var(1.0), Var(0.0)), Var(1.0));
+    return Var(1.0) + gate * (outer - Var(1.0));
+}
+
+/** The node chain Op::HingeAcc replaces, recorded op by op. */
+Var
+hingeChain(const Var &acc, const Var &f)
+{
+    return acc + relu(Var(1.0) - f);
+}
+
+/**
+ * An expression over leaves (f, outer, k) in which both fused nodes'
+ * parents also feed other nodes before and after them, so every
+ * parent's adjoint is a sum whose order the fusion must keep. `Fused`
+ * picks ramp/hingeAcc or the chains.
+ */
+template <bool Fused>
+Var
+buildFusedUse(Tape &tape, double f_val, double outer_val,
+              std::vector<Var> &leaves)
+{
+    leaves = {Var(tape, f_val), Var(tape, outer_val), Var(tape, 0.7)};
+    const Var &f = leaves[0], &outer = leaves[1], &k = leaves[2];
+    // One recording operand per statement, so both tapes record the
+    // shared nodes in the same order.
+    Var acc = f * k;
+    acc = acc + outer * Var(3.0);
+    Var r = Fused ? ramp(f, outer) : rampChain(f, outer);
+    Var h = Fused ? hingeAcc(acc, f) : hingeChain(acc, f);
+    h = Fused ? hingeAcc(h, outer) : hingeChain(h, outer);
+    Var out = r * h;
+    out = out + f * outer;
+    out = out + exp(f * Var(0.3)) / outer;
+    return out + r * k;
+}
+
+/**
+ * Each fused node against the chain it replaces: the output value and
+ * every leaf adjoint are bit-equal, whether the fused tape was just
+ * built or replayed, over a grid through the ramp's clamp edges
+ * (f = 1, f = 2), outer = 1 and the hinges' kinks (f = 1, outer = 1).
+ */
+TEST(FusedNodes, BitEqualToTheChainsTheyReplace)
+{
+    const double fs[] = {-0.5, 0.0, 0.5, 1.0, 1.25, 2.0, 2.5, 6.0};
+    const double outers[] = {0.25, 1.0, 1.5, 3.0, 40.0};
+    Tape replayed;
+    std::vector<Var> replayed_leaves;
+    Var replayed_out =
+            buildFusedUse<true>(replayed, fs[0], outers[0], replayed_leaves);
+    std::vector<double> adj;
+    for (double f : fs) {
+        for (double outer : outers) {
+            Tape chain, fused;
+            std::vector<Var> chain_leaves, fused_leaves;
+            Var chain_out = buildFusedUse<false>(chain, f, outer, chain_leaves);
+            Var fused_out = buildFusedUse<true>(fused, f, outer, fused_leaves);
+            ASSERT_LT(fused.size(), chain.size());
+            replayed.replay(std::vector<double>{f, outer, 0.7});
+            EXPECT_TRUE(bitEq(fused_out.value(), chain_out.value()))
+                    << "f=" << f << " outer=" << outer;
+            EXPECT_TRUE(bitEq(replayed.value(replayed_out.id()),
+                    chain_out.value()))
+                    << "f=" << f << " outer=" << outer;
+            const std::vector<double> adj_chain =
+                    chain.gradient(chain_out.id());
+            const std::vector<double> adj_fused =
+                    fused.gradient(fused_out.id());
+            replayed.gradientInto(replayed_out.id(), adj);
+            for (size_t li = 0; li < chain_leaves.size(); ++li) {
+                const double want = adj_chain[size_t(chain_leaves[li].id())];
+                EXPECT_TRUE(bitEq(adj_fused[size_t(fused_leaves[li].id())],
+                        want))
+                        << "leaf " << li << " f=" << f << " outer=" << outer;
+                EXPECT_TRUE(bitEq(adj[size_t(replayed_leaves[li].id())],
+                        want))
+                        << "leaf " << li << " f=" << f << " outer=" << outer;
+            }
+        }
+    }
+}
+
+/** A detached operand records the chain, not a fused node. */
+TEST(FusedNodes, DetachedOperandRecordsTheChain)
+{
+    for (bool f_taped : {false, true}) {
+        Tape fused, chain;
+        Var f_fused = f_taped ? Var(fused, 1.5) : Var(1.5);
+        Var o_fused = f_taped ? Var(2.0) : Var(fused, 2.0);
+        Var f_chain = f_taped ? Var(chain, 1.5) : Var(1.5);
+        Var o_chain = f_taped ? Var(2.0) : Var(chain, 2.0);
+        Var r = ramp(f_fused, o_fused);
+        Var h = hingeAcc(o_fused, f_fused);
+        Var rc = rampChain(f_chain, o_chain);
+        Var hc = hingeChain(o_chain, f_chain);
+        EXPECT_EQ(fused.size(), chain.size());
+        EXPECT_TRUE(bitEq(r.value(), rc.value()));
+        EXPECT_TRUE(bitEq(h.value(), hc.value()));
+    }
+    EXPECT_TRUE(bitEq(ramp(Var(1.5), Var(2.0)).value(), 1.5));
+    EXPECT_EQ(ramp(Var(1.5), Var(2.0)).tape(), nullptr);
 }
 
 TEST(TapeReplay, BranchFlipReroutesGradient)

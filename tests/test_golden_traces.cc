@@ -16,6 +16,14 @@
  * floats, front size) and the final front's points (trace index and
  * hardware).
  *
+ * The differentiable objective is pinned below the searchers too:
+ * `tests/golden/objective.grad` holds, for each workload, ordering
+ * strategy, objective mode and seeded point, the loss, energy,
+ * latency, penalty, area and power as hex floats and an FNV-1a digest
+ * of the gradient's bit patterns. A descent that rounds every few
+ * steps can absorb a 1-ulp gradient change without moving a traced
+ * EDP; this fixture cannot.
+ *
  * Regenerate with:  DOSA_REGEN_GOLDEN=1 ./test_golden_traces
  *
  * The fixtures are bit-exact with respect to the libm they were
@@ -27,15 +35,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/objective.hh"
 #include "golden.hh"
+#include "util/rng.hh"
+#include "workload/model_zoo.hh"
 
 namespace dosa {
 namespace {
@@ -149,6 +163,126 @@ TEST(GoldenFrontier, EverySearcherStreamsThePinnedFront)
     std::stringstream pinned;
     pinned << in.rdbuf();
     // A drift prints as a line diff of the two texts.
+    EXPECT_EQ(live, pinned.str());
+}
+
+/** FNV-1a over the bytes of every double's bit pattern, low byte first. */
+uint64_t
+fnv1a(const std::vector<double> &xs)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (double v : xs) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(v));
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/**
+ * Three seeded points for a workload's objective: logs of small
+ * integers (every gate exactly 0, at 1 or saturated, the hinges at
+ * their kink), a mild spread around them, and a wide one whose
+ * negative coordinates fire the hinges and whose large ones saturate
+ * the refetch ramps and the spatial caps.
+ */
+std::vector<std::vector<double>>
+objectivePoints(size_t num_layers, uint64_t seed)
+{
+    Rng rng(seed);
+    const size_t n = num_layers * kVarsPerLayer;
+    std::vector<std::vector<double>> points(3, std::vector<double>(n));
+    for (size_t i = 0; i < n; ++i)
+        points[0][i] = std::log(double(rng.uniformInt(1, 4)));
+    for (size_t i = 0; i < n; ++i)
+        points[1][i] = rng.uniformReal(-0.5, 1.5);
+    for (size_t i = 0; i < n; ++i)
+        points[2][i] = rng.uniformReal(-4.0, 4.0);
+    return points;
+}
+
+/**
+ * The objective fixture's text: every (workload, strategy, mode,
+ * point) evaluation of one engine per (workload, strategy, mode), so
+ * the first point builds the tape and the others replay it.
+ */
+std::string
+liveObjectiveText()
+{
+    struct Workload
+    {
+        const char *name;
+        std::vector<Layer> layers;
+    };
+    const Workload workloads[] = {{"golden", goldenLayers()},
+                                  {"bert", networkByName("bert").layers}};
+    const OrderStrategy strategies[] = {OrderStrategy::Fixed,
+            OrderStrategy::Iterate, OrderStrategy::Softmax};
+
+    std::string out = "# golden objective values and gradient digests; "
+                      "regenerate with DOSA_REGEN_GOLDEN=1 "
+                      "./test_golden_traces\n";
+    char line[512];
+    for (const Workload &w : workloads) {
+        const size_t nl = w.layers.size();
+        std::vector<std::pair<const char *, ObjectiveMode>> modes(5);
+        modes[0].first = "default";
+        modes[1].first = "pareto";
+        modes[1].second.pareto.area.enabled = true;
+        modes[1].second.pareto.power.enabled = true;
+        modes[2].first = "fix_pe";
+        modes[2].second.fix_pe = true;
+        modes[3].first = "max_area";
+        modes[3].second.max_area_mm2 = 1.0;
+        modes[4].first = "layer_weights";
+        for (size_t li = 0; li < nl; ++li)
+            modes[4].second.layer_weights.push_back(1.0 + 0.5 * double(li));
+
+        const auto points = objectivePoints(nl, 91 + nl);
+        for (OrderStrategy s : strategies) {
+            // Iterate's per-level orders differ across layers and
+            // levels; Fixed is weight-stationary everywhere.
+            std::vector<OrderVec> orders(nl, uniformOrder(LoopOrder::WS));
+            if (s == OrderStrategy::Iterate)
+                for (size_t li = 0; li < nl; ++li)
+                    for (size_t lvl = 0; lvl < orders[li].size(); ++lvl)
+                        orders[li][lvl] = LoopOrder(int((li + lvl) % 3));
+            for (const auto &[mode_name, mode] : modes) {
+                ObjectiveEngine engine;
+                for (size_t pi = 0; pi < points.size(); ++pi) {
+                    const ObjectiveEval &e =
+                            engine.eval(w.layers, points[pi], orders, s, mode);
+                    std::snprintf(line, sizeof(line),
+                            "%s %s %s %zu %a %a %a %a %a %a %016llx\n",
+                            w.name, strategyName(s), mode_name, pi, e.loss,
+                            e.energy_uj, e.latency, e.penalty, e.area_mm2,
+                            e.power_w,
+                            static_cast<unsigned long long>(fnv1a(e.grad)));
+                    out += line;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+TEST(GoldenObjective, ValuesAndGradientBitsArePinned)
+{
+    const std::string path =
+            std::string(DOSA_SOURCE_DIR) + "/tests/golden/objective.grad";
+    const std::string live = liveObjectiveText();
+    if (regenRequested()) {
+        std::ofstream(path) << live;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing fixture " << path
+                    << " — run DOSA_REGEN_GOLDEN=1 ./test_golden_traces";
+    std::stringstream pinned;
+    pinned << in.rdbuf();
     EXPECT_EQ(live, pinned.str());
 }
 

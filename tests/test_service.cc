@@ -8,7 +8,8 @@
  * (anchored to the tests/golden/ fixtures), concurrent-determinism,
  * fault injection (client disconnect, deadline expiry, queue-full
  * admission, shutdown) and the TCP transport: an end-to-end pass,
- * loopback round-trip latency and the request-line cap.
+ * loopback round-trip latency, the request-line cap and the release
+ * of a departed client's socket.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -1351,6 +1353,47 @@ TEST(ServiceTcp, OverlongRequestLineGetsBadRequestAndCloses)
     ASSERT_TRUE(bystander.receiveLine(line));
     ASSERT_TRUE(service::decodeFrame(line, f, error)) << error;
     EXPECT_EQ(f.kind, Frame::Kind::Pong);
+}
+
+/** Open file descriptors of this process. */
+size_t
+openFdCount()
+{
+    size_t n = 0;
+    for (const auto &entry :
+            std::filesystem::directory_iterator("/proc/self/fd")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+TEST(ServiceTcp, DepartedClientsSocketIsReleasedWithoutANewConnect)
+{
+    if (!std::filesystem::exists("/proc/self/fd"))
+        GTEST_SKIP() << "no /proc/self/fd to count descriptors in";
+    SearchService svc;
+    service::TcpServer server(svc, 0);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    const size_t baseline = openFdCount();
+    for (int i = 0; i < 5; ++i) {
+        service::TcpClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+                << error;
+        std::string line;
+        ASSERT_TRUE(client.sendLine(service::encodePingRequest("p")));
+        ASSERT_TRUE(client.receiveLine(line));
+    }
+    // Each reader sees its client's EOF on its own schedule: poll for
+    // up to 5 s. The server's sockets used to stay open until the
+    // next accept, so the last one never closed here.
+    size_t open = openFdCount();
+    for (int i = 0; i < 500 && open > baseline; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        open = openFdCount();
+    }
+    EXPECT_LE(open, baseline);
 }
 
 } // namespace
