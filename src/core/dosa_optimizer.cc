@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <optional>
 
 #include "arch/area_model.hh"
 #include "core/adam.hh"
@@ -14,10 +17,33 @@
 #include "model/reference.hh"
 #include "search/cosa_mapper.hh"
 #include "util/logging.hh"
+#include "util/thread_annotations.hh"
 
 namespace dosa {
 
 namespace {
+
+/**
+ * The bounds `projectFeasible` projects onto, fixed for a search: the
+ * log of every layer's dimension sizes and of the spatial cap.
+ */
+struct FeasibleBounds
+{
+    /** log(size(d)) at [layer * kNumDims + d]. */
+    std::vector<double> log_size;
+    double log_cap;
+
+    FeasibleBounds(const std::vector<Layer> &layers, int64_t pe_cap)
+        : log_size(layers.size() * kNumDims),
+          log_cap(std::log(static_cast<double>(pe_cap)))
+    {
+        for (size_t li = 0; li < layers.size(); ++li)
+            for (Dim d : kAllDims)
+                log_size[li * kNumDims + static_cast<size_t>(d)] =
+                        std::log(static_cast<double>(
+                                layers[li].size(d)));
+    }
+};
 
 /**
  * Project the log-space variables onto the feasible region: for every
@@ -34,11 +60,11 @@ namespace {
  * exchanges.
  */
 void
-projectFeasible(std::vector<double> &x, const std::vector<Layer> &layers,
-                int64_t pe_cap)
+projectFeasible(std::vector<double> &x, const FeasibleBounds &bounds)
 {
-    const double log_cap = std::log(static_cast<double>(pe_cap));
-    for (size_t li = 0; li < layers.size(); ++li) {
+    const double log_cap = bounds.log_cap;
+    const size_t num_layers = bounds.log_size.size() / kNumDims;
+    for (size_t li = 0; li < num_layers; ++li) {
         size_t base = li * kVarsPerLayer;
         double *xl = x.data() + base;
         double *sc = xl + kNumDims * (kNumLevels - 1);
@@ -49,8 +75,8 @@ projectFeasible(std::vector<double> &x, const std::vector<Layer> &layers,
         *sc = std::clamp(*sc, 0.0, log_cap);
         *sk = std::clamp(*sk, 0.0, log_cap);
         for (Dim d : kAllDims) {
-            double cap = std::log(
-                    static_cast<double>(layers[li].size(d)));
+            double cap = bounds.log_size[li * kNumDims +
+                    static_cast<size_t>(d)];
             // Coordinates participating in this dimension.
             double *coords[4];
             int n = 0;
@@ -267,108 +293,212 @@ makeStartCandidate(const std::vector<Layer> &layers,
 }
 
 /**
- * Gradient descent with periodic rounding from one start point. Each
- * rounding projects onto the divisor grid; descent restarts from the
- * best design seen so far in this start (greedy restart keeps the
- * search anchored while the fresh lr schedule explores). Fully
- * deterministic given the candidate — no RNG draws past this point.
+ * Gradient descent with periodic rounding from one start point, run a
+ * chunk of steps at a time. Each rounding projects onto the divisor
+ * grid; descent restarts from the best design seen so far in this
+ * start (greedy restart keeps the search anchored while the fresh lr
+ * schedule explores). Fully deterministic given the candidate — no RNG
+ * draws past this point — so the samples do not depend on which
+ * thread runs which chunk.
  */
-StartOutcome
-runStartPoint(const std::vector<Layer> &layers, const DosaConfig &cfg,
-              const SearchControl &control, StartCandidate start)
+class StartRun
 {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    StartOutcome out;
-    UnitRecord &unit = out.unit;
-    unit.samples.reserve(static_cast<size_t>(cfg.steps_per_start) + 1);
-    if (cfg.mode.pareto.active())
-        unit.local.configure(cfg.mode.pareto);
-    std::vector<Mapping> mappings = std::move(start.mappings);
-    std::vector<OrderVec> orders = std::move(start.orders);
-    std::vector<double> x = std::move(start.x);
-
-    // Score the concrete start point (one sample).
+  public:
+    StartRun(const std::vector<Layer> &layers, const DosaConfig &cfg,
+             const FeasibleBounds &bounds, StartCandidate start)
+        : layers_(layers), cfg_(cfg), bounds_(bounds),
+          mappings_(std::move(start.mappings)),
+          orders_(std::move(start.orders)), x_(std::move(start.x)),
+          best_x_(x_), best_orders_(orders_), adam_(x_.size(), cfg.lr)
     {
-        HardwareConfig hw0 = scoringHw(layers, mappings, cfg.mode);
-        NetworkEval ev0 = referenceNetworkEval(layers, mappings, hw0,
-                cfg.scorer);
-        if (overAreaBudget(hw0, cfg.mode)) {
-            unit.samples.push_back(kInf);
+        out_.unit.samples.reserve(
+                static_cast<size_t>(cfg.steps_per_start) + 1);
+        if (cfg.mode.pareto.active())
+            out_.unit.local.configure(cfg.mode.pareto);
+    }
+
+    /**
+     * Run the next chunk: up to kStepsPerChunk descent steps, after
+     * scoring the concrete start point on the first call. The start
+     * finishes after its last step, or at the first step that finds
+     * a stop requested.
+     */
+    void
+    advance(const SearchControl &control)
+    {
+        if (out_.unit.samples.empty())
+            scoreStart();
+        for (int n = 0; n < detail::kStepsPerChunk &&
+                        step_ < cfg_.steps_per_start; ++n) {
+            // Cooperative cancellation/deadline poll, once per
+            // descent step (each step is a full tape replay over the
+            // network, so the clock read is noise).
+            if (control.stopRequested()) {
+                engine_.reset();
+                return;
+            }
+            descend();
+        }
+        if (step_ == cfg_.steps_per_start)
+            engine_.reset();
+    }
+
+    int stepsDone() const { return step_; }
+
+    /** Finishing releases the engine, the bulk of a start's state. */
+    bool finished() const { return engine_ == nullptr; }
+
+    const StartOutcome &outcome() const { return out_; }
+
+  private:
+    /** Score the concrete start point (one sample). */
+    void
+    scoreStart()
+    {
+        HardwareConfig hw0 = scoringHw(layers_, mappings_, cfg_.mode);
+        NetworkEval ev0 = referenceNetworkEval(layers_, mappings_, hw0,
+                cfg_.scorer);
+        if (overAreaBudget(hw0, cfg_.mode)) {
+            out_.unit.samples.push_back(kInf);
         } else {
-            out.start_edp = ev0.edp;
-            out.start_hw = hw0;
-            unit.recordDesign(ev0, hw0, mappings);
+            out_.start_edp = ev0.edp;
+            out_.start_hw = hw0;
+            out_.unit.recordDesign(ev0, hw0, mappings_);
         }
     }
 
-    double start_best_edp = kInf;
-    std::vector<double> start_best_x = x;
-    std::vector<OrderVec> start_best_orders = orders;
-    Adam adam(x.size(), cfg.lr);
-    // Arena-reused objective evaluator: within a rounding segment the
-    // context (orders, mode, strategy) is fixed, so every step after
-    // the first is a fused tape replay with zero graph construction.
-    ObjectiveEngine engine;
-    for (int step = 1; step <= cfg.steps_per_start; ++step) {
-        // Cooperative cancellation/deadline poll, once per descent
-        // step (each step is a full tape replay over the network, so
-        // the clock read is noise).
-        if (control.stopRequested())
-            break;
-        const ObjectiveEval &ev = engine.eval(layers, x, orders,
-                cfg.strategy, cfg.mode);
+    /** One descent step, rounding when the schedule says so. */
+    void
+    descend()
+    {
+        const int step = ++step_;
+        const ObjectiveEval &ev = engine_->eval(layers_, x_, orders_,
+                cfg_.strategy, cfg_.mode);
         // Geometric decay within the current rounding segment.
-        int seg_pos = (step - 1) % cfg.round_every;
+        int seg_pos = (step - 1) % cfg_.round_every;
         double frac = static_cast<double>(seg_pos) /
                 static_cast<double>(std::max(1,
-                        cfg.round_every - 1));
-        adam.step(x, ev.grad, std::pow(cfg.lr_decay, frac));
-        if (cfg.project_feasible)
-            projectFeasible(x, layers, cfg.mode.peCap());
+                        cfg_.round_every - 1));
+        adam_.step(x_, ev.grad, std::pow(cfg_.lr_decay, frac));
+        if (cfg_.project_feasible)
+            projectFeasible(x_, bounds_);
 
-        bool round_now = (step % cfg.round_every == 0) ||
-                         step == cfg.steps_per_start;
+        bool round_now = (step % cfg_.round_every == 0) ||
+                         step == cfg_.steps_per_start;
         if (!round_now) {
             // Model evaluation consumed; no new concrete point.
-            unit.samples.push_back(kInf);
-            continue;
+            out_.unit.samples.push_back(kInf);
+            return;
         }
 
-        RoundedDesign design = roundAndScore(layers, x, orders,
-                cfg.mode, cfg.scorer);
-        if (cfg.strategy != OrderStrategy::Fixed) {
-            orders = selectOrders(layers, design.mappings,
-                    design.hw, cfg.scorer);
-            design.eval = referenceNetworkEval(layers, design.mappings,
-                    design.hw, cfg.scorer);
+        RoundedDesign design = roundAndScore(layers_, x_, orders_,
+                cfg_.mode, cfg_.scorer);
+        if (cfg_.strategy != OrderStrategy::Fixed) {
+            orders_ = selectOrders(layers_, design.mappings,
+                    design.hw, cfg_.scorer);
+            design.eval = referenceNetworkEval(layers_,
+                    design.mappings, design.hw, cfg_.scorer);
         }
-        bool valid = !overAreaBudget(design.hw, cfg.mode);
+        bool valid = !overAreaBudget(design.hw, cfg_.mode);
         if (valid)
-            unit.recordDesign(design.eval, design.hw,
+            out_.unit.recordDesign(design.eval, design.hw,
                     design.mappings);
         else
-            unit.samples.push_back(kInf);
+            out_.unit.samples.push_back(kInf);
 
         // Project the variables onto the rounded point; if this
         // rounding regressed, fall back to the best point of the
         // current start. Either way the moments restart.
-        x.clear();
+        x_.clear();
         for (const Mapping &m : design.mappings) {
             std::vector<double> xl = packMapping(m);
-            x.insert(x.end(), xl.begin(), xl.end());
+            x_.insert(x_.end(), xl.begin(), xl.end());
         }
-        if (valid && design.eval.edp < start_best_edp) {
-            start_best_edp = design.eval.edp;
-            start_best_x = x;
-            start_best_orders = orders;
-        } else if (cfg.restart_from_best) {
-            x = start_best_x;
-            orders = start_best_orders;
+        if (valid && design.eval.edp < best_edp_) {
+            best_edp_ = design.eval.edp;
+            best_x_ = x_;
+            best_orders_ = orders_;
+        } else if (cfg_.restart_from_best) {
+            x_ = best_x_;
+            orders_ = best_orders_;
         }
-        adam.reset();
+        adam_.reset();
     }
-    return out;
-}
+
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    const std::vector<Layer> &layers_;
+    const DosaConfig &cfg_;
+    const FeasibleBounds &bounds_;
+    StartOutcome out_;
+    /** The start's CoSA mappings, read only by scoreStart(). */
+    std::vector<Mapping> mappings_;
+    std::vector<OrderVec> orders_;
+    std::vector<double> x_;
+    double best_edp_ = kInf;
+    std::vector<double> best_x_;
+    std::vector<OrderVec> best_orders_;
+    Adam adam_;
+    // Arena-reused objective evaluator: within a rounding segment the
+    // context (orders, mode, strategy) is fixed, so every step after
+    // the first is a fused tape replay with zero graph construction.
+    std::unique_ptr<ObjectiveEngine> engine_ =
+            std::make_unique<ObjectiveEngine>();
+    int step_ = 0;
+};
+
+/**
+ * Phase 3's start schedule: least-progress-first list scheduling
+ * (Graham 1969). A worker claims the idle unfinished start with the
+ * fewest steps done, ties to the lower index, and hands it back after
+ * one chunk, so every start progresses at the same pace and all of
+ * them finish within about a chunk of each other, whatever the
+ * number of workers. A worker that finds no idle unfinished start
+ * leaves: the starts still unfinished are then all held, so no more
+ * remain than workers still running.
+ */
+class StartSchedule
+{
+  public:
+    explicit StartSchedule(size_t starts) : slots_(starts) {}
+
+    /** The start to advance next; none while every unfinished start
+     *  is held by another worker. */
+    std::optional<size_t>
+    claim()
+    {
+        util::MutexLock lock(mtx_);
+        std::optional<size_t> pick;
+        for (size_t sp = 0; sp < slots_.size(); ++sp) {
+            const Slot &s = slots_[sp];
+            if (!s.held && !s.finished &&
+                (!pick || s.steps < slots_[*pick].steps))
+                pick = sp;
+        }
+        if (pick)
+            slots_[*pick].held = true;
+        return pick;
+    }
+
+    /** Hand a claimed start back with its progress. */
+    void
+    release(size_t sp, int steps, bool finished)
+    {
+        util::MutexLock lock(mtx_);
+        slots_[sp] = Slot{steps, false, finished};
+    }
+
+  private:
+    struct Slot
+    {
+        int steps = 0;
+        bool held = false;
+        bool finished = false;
+    };
+
+    util::Mutex mtx_;
+    std::vector<Slot> slots_ GUARDED_BY(mtx_);
+};
 
 } // namespace
 
@@ -437,10 +567,23 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
         starts.push_back(std::move(a[chosen]));
     }
 
-    // ---- Phase 3 (parallel): gradient descent per start point.
+    // ---- Phase 3 (parallel): gradient descent per start point, one
+    // chunk of steps at a time. Every pool thread runs the same claim
+    // loop (inline at jobs 1), so the starts advance together and
+    // finish together; the schedule's lock orders each handoff.
     control.phase("descent");
-    auto outcomes = pool.parallelMap(starts.size(), [&](size_t sp) {
-        return runStartPoint(layers, cfg, control, std::move(starts[sp]));
+    const FeasibleBounds bounds(layers, cfg.mode.peCap());
+    std::vector<StartRun> runs;
+    runs.reserve(starts.size());
+    for (StartCandidate &s : starts)
+        runs.emplace_back(layers, cfg, bounds, std::move(s));
+    StartSchedule schedule(runs.size());
+    pool.parallelFor(static_cast<size_t>(pool.size()), [&](size_t) {
+        while (std::optional<size_t> sp = schedule.claim()) {
+            StartRun &run = runs[*sp];
+            run.advance(control);
+            schedule.release(*sp, run.stepsDone(), run.finished());
+        }
     });
 
     // ---- Phase 4 (serial): merge in start order. Concatenating the
@@ -449,7 +592,8 @@ detail::dosaSearchImpl(const std::vector<Layer> &layers,
     // runs before this start's samples so strict-< tie-breaking
     // matches the serial stream.
     control.phase("merge");
-    for (const StartOutcome &o : outcomes) {
+    for (const StartRun &run : runs) {
+        const StartOutcome &o = run.outcome();
         // Hard stop only: a deadline hit during descent must not
         // discard the samples the starts already computed.
         if (control.recordingStopped())

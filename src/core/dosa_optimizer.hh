@@ -43,8 +43,11 @@ struct DosaConfig
     uint64_t seed = 1;
     /**
      * Worker threads for the start points (independent given per-start
-     * RNG streams). Results are bit-identical for any value; 1 runs
-     * fully serial on the calling thread.
+     * RNG streams). The descent advances every start in chunks of
+     * `detail::kStepsPerChunk` steps, least progress first, so the
+     * starts share the workers evenly and finish together. Results
+     * are bit-identical for any value; 1 runs the same loop serially
+     * on the calling thread.
      */
     int jobs = 1;
     /** Reject starts predicted worse than reject_factor x best start. */
@@ -61,6 +64,17 @@ struct DosaConfig
 };
 
 namespace detail {
+
+/**
+ * Descent steps a start point advances each time a worker takes it.
+ * Each handoff moves the start's tape to another core's cache, so
+ * smaller chunks cost descent time, and larger ones idle the pool at
+ * the end. At the paper's 7 x 1,490 steps on a 4-core Xeon VM, 32
+ * steps spent about 5% more descent time than 64, 256 left 3.6% of
+ * the pool idle against 1.1% at 64, and 128 measured the same as 64
+ * (bench/PERF.md).
+ */
+constexpr int kStepsPerChunk = 64;
 
 /**
  * Canonical DOSA implementation behind the "dosa" searcher; runs

@@ -113,7 +113,12 @@ ObjectiveEngine::build(const std::vector<Layer> &layers,
     const size_t num_layers = layers.size();
     Tape &tape = tape_;
     tape.reset();
-    tape.reserve(num_layers * 4096);
+    // About what one build records: 408-414 nodes per layer, 1,035-1,041
+    // under Softmax. DOSA keeps every start's engine alive through the
+    // descent, and reserving ten times the tape left the allocator
+    // holding the gaps, which raised peak RSS (bench/PERF.md).
+    tape.reserve(num_layers *
+            (strategy == OrderStrategy::Softmax ? 1088 : 448));
 
     // Reconstruct per-layer factors on the tape; infer DRAM residuals.
     std::vector<Factors<Var>> factors(num_layers);

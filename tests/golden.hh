@@ -3,8 +3,10 @@
  * The golden-trace fixtures shared by the test suites: the canonical
  * two-layer workload, one fixed-seed `SearchSpec` per builtin
  * searcher (single-objective, and multi-objective for the frontier
- * fixture), the reader of the `tests/golden/<algorithm>.trace` files
- * and the bitwise comparison against them.
+ * fixture), the DOSA specs whose starts span several descent chunks,
+ * an observer that keeps every sample's EDP, the reader of the
+ * `tests/golden/<algorithm>.trace` files and the bitwise comparison
+ * against them.
  *
  * A fixture holds a run's trace, best EDP and best hardware, written
  * bit-exactly as hex floats. `test_golden_traces` regenerates them
@@ -123,6 +125,47 @@ goldenParetoSpecs()
     }
     return specs;
 }
+
+/**
+ * DOSA specs whose starts span three descent chunks: seven starts of
+ * 150 steps on bert, rounding every 45 (not a multiple of the chunk
+ * size), in the Fixed and Iterate strategies and in Iterate with the
+ * area and power axes enabled. On bert the descent beats every start
+ * point several times over (on the two-layer golden workload it never
+ * beats the best one), so these runs' samples depend on every step.
+ * `tests/golden/dosa_chunks.digest` pins them.
+ */
+inline std::vector<SearchSpec>
+goldenDosaChunkSpecs()
+{
+    SearchSpec base;
+    base.algorithm = "dosa";
+    base.workload_name = "bert";
+    base.seed = 2;
+    base.options.set("start_points", 7)
+            .set("steps_per_start", 150)
+            .set("round_every", 45);
+    std::vector<SearchSpec> specs(3, base);
+    specs[0].options.set("strategy", 0); // Fixed
+    specs[1].options.set("strategy", 1); // Iterate
+    specs[2].options.set("strategy", 1);
+    specs[2].mode.pareto.area.enabled = true;
+    specs[2].mode.pareto.power.enabled = true;
+    return specs;
+}
+
+/** Keeps every sample's own EDP, in trace order. */
+struct SampleRecorder : SearchObserver
+{
+    std::vector<double> edps;
+
+    bool
+    onSample(const SampleEvent &event) override
+    {
+        edps.push_back(event.edp);
+        return true;
+    }
+};
 
 /** Fixture path of a searcher, from the source tree baked in by CMake. */
 inline std::string

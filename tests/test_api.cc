@@ -270,6 +270,34 @@ TEST(ApiDeadline, ComputedSamplesSurviveTheDeadline)
     EXPECT_FALSE(report.search.best_mappings.empty());
 }
 
+TEST(ApiDeadline, DeadlineMidDescentKeepsEveryStartConsistent)
+{
+    // Seven starts on four threads, far too long to finish before the
+    // deadline, which lands while the starts are mid-chunk. How far
+    // each start got depends on timing, so only invariants are
+    // asserted: every start keeps its scored start point, nothing
+    // past the plan is recorded, and the installed design is the one
+    // the trace's minimum came from.
+    SearchSpec spec = goldenDosaSpec();
+    spec.jobs = 4;
+    spec.options.set("start_points", 7)
+            .set("steps_per_start", 50000)
+            .set("round_every", 45);
+    spec.budget.deadline_s = 0.05;
+    const size_t planned = Search::find("dosa")->plannedSamples(spec);
+    SearchReport report = runSearch(spec);
+    const std::vector<double> &trace = report.search.trace;
+    ASSERT_GE(trace.size(), 7u);
+    EXPECT_LE(trace.size(), planned);
+    EXPECT_EQ(report.search.best_edp,
+            *std::min_element(trace.begin(), trace.end()));
+    ASSERT_FALSE(report.search.best_mappings.empty());
+    EXPECT_EQ(referenceNetworkEval(spec.workload,
+                      report.search.best_mappings, report.search.best_hw)
+                      .edp,
+            report.search.best_edp);
+}
+
 TEST(ApiDeadline, DeadlinesPastTheClockRangeNeverFire)
 {
     // A deadline the steady clock cannot represent could never fire.

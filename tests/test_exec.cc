@@ -17,6 +17,7 @@
 #include "api/search_api.hh"
 #include "core/dosa_optimizer.hh"
 #include "exec/thread_pool.hh"
+#include "golden.hh"
 #include "surrogate/latency_predictor.hh"
 #include "util/rng.hh"
 #include "workload/model_zoo.hh"
@@ -170,6 +171,60 @@ TEST(ExecDeterminism, DosaSerialEqualsParallel)
     for (size_t i = 0; i < serial.search.best_mappings.size(); ++i)
         EXPECT_EQ(serial.search.best_mappings[i],
                 parallel.search.best_mappings[i]);
+}
+
+TEST(ExecDeterminism, DosaChunkHandoffMatchesJobs1)
+{
+    // Seven starts, each spanning three descent chunks, on fewer,
+    // as many and more threads than starts: the least-progress-first
+    // schedule moves starts between threads at chunk boundaries, and
+    // with round_every not a multiple of the chunk size some of those
+    // handoffs fall inside a rounding segment (Adam moments and the
+    // engine's tape carry over to the next thread).
+    for (SearchSpec spec : goldenDosaChunkSpecs()) {
+        ASSERT_EQ(spec.options.getInt("start_points", 0), 7);
+        ASSERT_GT(spec.options.getInt("steps_per_start", 0),
+                2 * detail::kStepsPerChunk);
+        ASSERT_NE(spec.options.getInt("round_every", 0) %
+                          detail::kStepsPerChunk,
+                0);
+        spec.jobs = 1;
+        SampleRecorder serial_samples;
+        const SearchReport serial = runSearch(spec, &serial_samples);
+        if (spec.mode.pareto.active()) {
+            ASSERT_FALSE(serial.search.frontier.empty());
+        }
+        for (int jobs : {2, 3, 4, 8}) {
+            spec.jobs = jobs;
+            SampleRecorder parallel_samples;
+            const SearchReport parallel = runSearch(spec, &parallel_samples);
+            SCOPED_TRACE("strategy " +
+                    std::to_string(spec.options.getInt("strategy", 0)) +
+                    (spec.mode.pareto.active() ? " pareto" : "") +
+                    ", jobs " + std::to_string(jobs));
+            // Every rounded design's EDP, not only the running best.
+            EXPECT_EQ(serial_samples.edps, parallel_samples.edps);
+            const SearchResult &a = serial.search;
+            const SearchResult &b = parallel.search;
+            EXPECT_EQ(a.trace, b.trace);
+            EXPECT_EQ(a.best_edp, b.best_edp);
+            EXPECT_EQ(a.best_hw, b.best_hw);
+            EXPECT_EQ(a.best_mappings, b.best_mappings);
+            EXPECT_EQ(serial.best_start_edp, parallel.best_start_edp);
+            EXPECT_EQ(serial.best_start_hw, parallel.best_start_hw);
+            ASSERT_EQ(a.frontier.size(), b.frontier.size());
+            for (size_t i = 0; i < a.frontier.size(); ++i) {
+                const ParetoPoint &p = a.frontier.points()[i];
+                const ParetoPoint &q = b.frontier.points()[i];
+                EXPECT_EQ(p.sample_index, q.sample_index);
+                EXPECT_EQ(p.edp, q.edp);
+                EXPECT_EQ(p.area_mm2, q.area_mm2);
+                EXPECT_EQ(p.power_w, q.power_w);
+                EXPECT_EQ(p.hw, q.hw);
+                EXPECT_EQ(p.mappings, q.mappings);
+            }
+        }
+    }
 }
 
 TEST(ExecDeterminism, RandomSearchSerialEqualsParallel)

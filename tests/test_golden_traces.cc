@@ -24,6 +24,11 @@
  * steps can absorb a 1-ulp gradient change without moving a traced
  * EDP; this fixture cannot.
  *
+ * DOSA runs whose starts span several descent chunks are pinned by
+ * `tests/golden/dosa_chunks.digest`: sample count, a bit digest of
+ * every sample's EDP, best design, start attribution and front
+ * digest of each `goldenDosaChunkSpecs()` run.
+ *
  * Regenerate with:  DOSA_REGEN_GOLDEN=1 ./test_golden_traces
  *
  * The fixtures are bit-exact with respect to the libm they were
@@ -100,6 +105,28 @@ checkAgainstGolden(const SearchSpec &spec)
     expectBitwiseEqual(spec.algorithm, r, g);
 }
 
+/**
+ * Regenerate the text fixture `tests/golden/<name>` from `live`, or
+ * diff `live` against it; %a in the text makes equality bitwise.
+ */
+void
+checkTextFixture(const std::string &name, const std::string &live)
+{
+    const std::string path =
+            std::string(DOSA_SOURCE_DIR) + "/tests/golden/" + name;
+    if (regenRequested()) {
+        std::ofstream(path) << live;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing fixture " << path
+                    << " — run DOSA_REGEN_GOLDEN=1 ./test_golden_traces";
+    std::stringstream pinned;
+    pinned << in.rdbuf();
+    // A drift prints as a line diff of the two texts.
+    EXPECT_EQ(live, pinned.str());
+}
+
 /** Keeps every frontier event of one run. */
 struct FrontierRecorder : SearchObserver
 {
@@ -150,20 +177,7 @@ liveFrontierText()
 
 TEST(GoldenFrontier, EverySearcherStreamsThePinnedFront)
 {
-    const std::string path =
-            std::string(DOSA_SOURCE_DIR) + "/tests/golden/pareto.frontier";
-    const std::string live = liveFrontierText();
-    if (regenRequested()) {
-        std::ofstream(path) << live;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing fixture " << path
-                    << " — run DOSA_REGEN_GOLDEN=1 ./test_golden_traces";
-    std::stringstream pinned;
-    pinned << in.rdbuf();
-    // A drift prints as a line diff of the two texts.
-    EXPECT_EQ(live, pinned.str());
+    checkTextFixture("pareto.frontier", liveFrontierText());
 }
 
 /** FNV-1a over the bytes of every double's bit pattern, low byte first. */
@@ -271,19 +285,59 @@ liveObjectiveText()
 
 TEST(GoldenObjective, ValuesAndGradientBitsArePinned)
 {
-    const std::string path =
-            std::string(DOSA_SOURCE_DIR) + "/tests/golden/objective.grad";
-    const std::string live = liveObjectiveText();
-    if (regenRequested()) {
-        std::ofstream(path) << live;
-        GTEST_SKIP() << "regenerated " << path;
+    checkTextFixture("objective.grad", liveObjectiveText());
+}
+
+/**
+ * The chunked-descent fixture's text: for each `goldenDosaChunkSpecs()`
+ * run at jobs 4, the sample count and a bit digest of every sample's
+ * own EDP, the best EDP and hardware, the start attribution and a
+ * digest of the front.
+ */
+std::string
+liveDosaChunkText()
+{
+    std::string out = "# golden DOSA runs across descent chunks; regenerate "
+                      "with DOSA_REGEN_GOLDEN=1 ./test_golden_traces\n";
+    char line[512];
+    for (SearchSpec spec : goldenDosaChunkSpecs()) {
+        spec.jobs = 4;
+        SampleRecorder samples;
+        const SearchReport r = runSearch(spec, &samples);
+        const SearchResult &s = r.search;
+        std::vector<double> front;
+        for (const ParetoPoint &p : s.frontier.points())
+            front.insert(front.end(), {double(p.sample_index), p.edp,
+                                       p.area_mm2, p.power_w});
+        std::snprintf(line, sizeof(line),
+                "strategy %lld pareto %d samples %zu %016llx "
+                "best %a %lld %lld %lld start %a %lld %lld %lld "
+                "front %zu %016llx\n",
+                static_cast<long long>(spec.options.getInt("strategy", 0)),
+                int(spec.mode.pareto.active()), samples.edps.size(),
+                static_cast<unsigned long long>(fnv1a(samples.edps)),
+                s.best_edp, static_cast<long long>(s.best_hw.pe_dim),
+                static_cast<long long>(s.best_hw.accum_kib),
+                static_cast<long long>(s.best_hw.spad_kib),
+                r.best_start_edp,
+                static_cast<long long>(r.best_start_hw.pe_dim),
+                static_cast<long long>(r.best_start_hw.accum_kib),
+                static_cast<long long>(r.best_start_hw.spad_kib),
+                s.frontier.size(),
+                static_cast<unsigned long long>(fnv1a(front)));
+        out += line;
     }
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "missing fixture " << path
-                    << " — run DOSA_REGEN_GOLDEN=1 ./test_golden_traces";
-    std::stringstream pinned;
-    pinned << in.rdbuf();
-    EXPECT_EQ(live, pinned.str());
+    return out;
+}
+
+/**
+ * Starts that span several descent chunks, resumed on other threads,
+ * compute exactly what one uninterrupted loop per start computed: the
+ * fixture was generated before the descent ran in chunks.
+ */
+TEST(GoldenTrace, DosaStartsAcrossDescentChunks)
+{
+    checkTextFixture("dosa_chunks.digest", liveDosaChunkText());
 }
 
 TEST(GoldenTrace, DosaSearch)
