@@ -10,6 +10,7 @@
 #include "exec/thread_pool.hh"
 #include "gp/gaussian_process.hh"
 #include "model/reference.hh"
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace dosa {
@@ -60,6 +61,9 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
     gp_params.noise_var = 1e-2;
     GaussianProcess gp(gp_params);
     bool gp_ready = false;
+    // Guided-round candidates and how many of them got an exact LCB;
+    // flushed to the metrics registry once, when the search ends.
+    uint64_t candidates = 0, lcb_exact = 0;
 
     // Scores one design for real: one sample, plus a log-EDP training
     // target per layer.
@@ -103,7 +107,8 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
             // layer) slice draws its map_candidates from its own
             // stream, in parallel, so any jobs value reproduces the
             // same pool; the stream order is the selection order. The
-            // round's whole pool is then scored with one lcbBatch.
+            // round's whole pool then goes to one lcbArgmin, which
+            // gives an exact LCB only to candidates that can still win.
             const size_t n_layers = layers.size();
             std::vector<HardwareConfig> cand_hws(
                     static_cast<size_t>(cfg.hw_candidates));
@@ -131,36 +136,33 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
                             rows.data() + mc * kFeatureSize);
                 }
             });
-            std::vector<double> lcbs(cands.size());
-            gp.lcbBatch(rows, cfg.lcb_kappa, lcbs, &pool);
+            // Per slice, the strict-< LCB argmin in candidate order; a
+            // slice none of whose LCBs is below +inf picks its first.
+            std::vector<double> slice_lcb(n_slices);
+            std::vector<size_t> slice_pick(n_slices);
+            lcb_exact += gp.lcbArgmin(rows, per_slice, cfg.lcb_kappa,
+                    slice_lcb, slice_pick, &pool);
+            candidates += cands.size();
 
-            // Per slice, the strict-< argmin in candidate order.
-            std::vector<double> slice_lcb(n_slices,
-                    std::numeric_limits<double>::infinity());
-            std::vector<size_t> slice_pick(n_slices, 0);
-            for (size_t mc = 0; mc < cands.size(); ++mc) {
-                const size_t t = mc / per_slice;
-                if (lcbs[mc] < slice_lcb[t]) {
-                    slice_lcb[t] = lcbs[mc];
-                    slice_pick[t] = mc;
-                }
-            }
-
+            // The hardware whose summed per-layer log-EDP LCBs score
+            // strictly lowest; candidate 0 when none scores below +inf
+            // (a scorer that returns NaN or +inf).
             double best_score =
                     std::numeric_limits<double>::infinity();
+            size_t best_hc = 0;
             for (size_t hc = 0; hc < cand_hws.size(); ++hc) {
-                // Sum of per-layer log-EDP LCBs scores the design.
                 double score = 0.0;
                 for (size_t li = 0; li < n_layers; ++li)
                     score += slice_lcb[hc * n_layers + li] *
                             static_cast<double>(layers[li].count);
                 if (score < best_score) {
                     best_score = score;
-                    hw = cand_hws[hc];
-                    for (size_t li = 0; li < n_layers; ++li)
-                        maps[li] = cands[slice_pick[hc * n_layers + li]];
+                    best_hc = hc;
                 }
             }
+            hw = cand_hws[best_hc];
+            for (size_t li = 0; li < n_layers; ++li)
+                maps[li] = cands[slice_pick[best_hc * n_layers + li]];
         }
 
         evaluate_design(hw, maps);
@@ -173,6 +175,15 @@ detail::bayesOptSearchImpl(const std::vector<Layer> &layers,
             gp.fit(train.x, train.y);
             gp_ready = true;
         }
+    }
+    if (candidates > 0) {
+        static struct
+        {
+            obs::Counter &candidates = obs::counter("bayesopt.candidates");
+            obs::Counter &lcb_exact = obs::counter("bayesopt.lcb_exact");
+        } counters;
+        counters.candidates.add(candidates);
+        counters.lcb_exact.add(lcb_exact);
     }
     return result;
 }

@@ -154,6 +154,42 @@ goldenDosaChunkSpecs()
     return specs;
 }
 
+/**
+ * BB-BO runs at the scale of fig7's quick cells: 20 random warmup
+ * samples of 80, 4 hardware x 8 mapping candidates per layer and round,
+ * a GP capped at 300 training points, on bert and resnet50. Three bert
+ * variants move the LCB's kappa and the pool's shape: kappa 0 (the
+ * posterior mean alone); kappa -1 with 7 mapping candidates; kappa 3
+ * with 33 mapping candidates, 3 hardware candidates, 3 jobs and the
+ * area and power axes enabled. Every guided round picks each (hardware,
+ * layer) slice's LCB argmin, so these runs' samples depend on every
+ * round's selections. `tests/golden/bayesopt_rounds.digest` pins them.
+ */
+inline std::vector<SearchSpec>
+goldenBayesOptRoundSpecs()
+{
+    SearchSpec base;
+    base.algorithm = "bayesopt";
+    base.workload_name = "bert";
+    base.seed = 3;
+    base.options.set("warmup_samples", 20)
+            .set("total_samples", 80)
+            .set("hw_candidates", 4)
+            .set("map_candidates", 8)
+            .set("max_train_points", 300);
+    std::vector<SearchSpec> specs(5, base);
+    specs[1].workload_name = "resnet50";
+    specs[2].options.set("lcb_kappa", 0.0);
+    specs[3].options.set("lcb_kappa", -1.0).set("map_candidates", 7);
+    specs[4].options.set("lcb_kappa", 3.0)
+            .set("map_candidates", 33)
+            .set("hw_candidates", 3);
+    specs[4].jobs = 3;
+    specs[4].mode.pareto.area.enabled = true;
+    specs[4].mode.pareto.power.enabled = true;
+    return specs;
+}
+
 /** Keeps every sample's own EDP, in trace order. */
 struct SampleRecorder : SearchObserver
 {

@@ -29,6 +29,13 @@
  * every sample's EDP, best design, start attribution and front
  * digest of each `goldenDosaChunkSpecs()` run.
  *
+ * BB-BO runs at fig7's quick scale are pinned by
+ * `tests/golden/bayesopt_rounds.digest`: sample count, a bit digest
+ * of every sample's EDP, best design and front digest of each
+ * `goldenBayesOptRoundSpecs()` run. Each guided round of these runs
+ * selects from hundreds of GP-scored candidates, which the tiny
+ * `bayesopt.trace` run does not reach.
+ *
  * Regenerate with:  DOSA_REGEN_GOLDEN=1 ./test_golden_traces
  *
  * The fixtures are bit-exact with respect to the libm they were
@@ -338,6 +345,58 @@ liveDosaChunkText()
 TEST(GoldenTrace, DosaStartsAcrossDescentChunks)
 {
     checkTextFixture("dosa_chunks.digest", liveDosaChunkText());
+}
+
+/**
+ * The BB-BO round fixture's text: for each `goldenBayesOptRoundSpecs()`
+ * run, its workload, kappa, pool shape, jobs and objective axes, then
+ * the sample count and a bit digest of every sample's own EDP, the best
+ * EDP and hardware and a digest of the front.
+ */
+std::string
+liveBayesOptRoundsText()
+{
+    std::string out = "# golden BB-BO runs at fig7 scale; regenerate "
+                      "with DOSA_REGEN_GOLDEN=1 ./test_golden_traces\n";
+    char line[512];
+    for (const SearchSpec &spec : goldenBayesOptRoundSpecs()) {
+        SampleRecorder samples;
+        const SearchResult s = runSearch(spec, &samples).search;
+        std::vector<double> front;
+        for (const ParetoPoint &p : s.frontier.points())
+            front.insert(front.end(), {double(p.sample_index), p.edp,
+                                       p.area_mm2, p.power_w});
+        std::snprintf(line, sizeof(line),
+                "%s kappa %a hw %lld map %lld jobs %d pareto %d "
+                "samples %zu %016llx best %a %lld %lld %lld "
+                "front %zu %016llx\n",
+                spec.workload_name.c_str(),
+                spec.options.get("lcb_kappa", 1.0),
+                static_cast<long long>(
+                        spec.options.getInt("hw_candidates", 0)),
+                static_cast<long long>(
+                        spec.options.getInt("map_candidates", 0)),
+                spec.jobs, int(spec.mode.pareto.active()),
+                samples.edps.size(),
+                static_cast<unsigned long long>(fnv1a(samples.edps)),
+                s.best_edp, static_cast<long long>(s.best_hw.pe_dim),
+                static_cast<long long>(s.best_hw.accum_kib),
+                static_cast<long long>(s.best_hw.spad_kib),
+                s.frontier.size(),
+                static_cast<unsigned long long>(fnv1a(front)));
+        out += line;
+    }
+    return out;
+}
+
+/**
+ * Every guided round's per-slice LCB argmins and hardware pick at fig7
+ * scale, across kappa signs and pool shapes: the fixture was generated
+ * while every candidate still got an exact LCB.
+ */
+TEST(GoldenTrace, BayesOptRoundsAtFig7Scale)
+{
+    checkTextFixture("bayesopt_rounds.digest", liveBayesOptRoundsText());
 }
 
 TEST(GoldenTrace, DosaSearch)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for Gaussian-process regression: interpolation,
- * uncertainty behaviour and LCB ranking.
+ * uncertainty behaviour, LCB ranking, and the exp-free lower bounds and
+ * pruned argmin that must pick exactly what the exact LCBs pick.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +11,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "exec/thread_pool.hh"
 #include "gp/gaussian_process.hh"
@@ -244,6 +247,210 @@ TEST(Gp, BatchedLcbEqualsNaiveReferenceBitwise)
                         << "width " << width << " query " << q;
         }
     }
+}
+
+TEST(ExpBracket, BracketsStdExpAtEveryBucketEdgeAndRandomPoints)
+{
+    // Every bucket edge -j/64 of the grid over [-48, 0], 4 ulps either
+    // side of it, then uniform points over the grid and past its end.
+    auto check = [](double x) {
+        const detail::ExpBracket b = detail::expBracket(x);
+        if (x > 0.0) {
+            EXPECT_TRUE(std::isnan(b.lo) && std::isnan(b.hi)) << x;
+            return;
+        }
+        const double e = std::exp(x);
+        EXPECT_LE(b.lo, e) << std::hexfloat << x;
+        EXPECT_GE(b.hi, e) << std::hexfloat << x;
+        // Within the grid a bracket spans one bucket, so it is tight
+        // enough to prune with.
+        if (x >= -48.0) {
+            EXPECT_LE(b.hi, b.lo * 1.0158) << std::hexfloat << x;
+        }
+    };
+    for (int j = 0; j <= 48 * 64; ++j) {
+        const double edge = -double(j) / 64.0;
+        double lo = edge, hi = edge;
+        check(edge);
+        for (int k = 0; k < 4; ++k) {
+            lo = std::nextafter(lo, -1e300);
+            hi = std::nextafter(hi, 1e300);
+            check(lo);
+            check(hi);
+        }
+    }
+    Rng rng(64);
+    for (int k = 0; k < 1000000; ++k)
+        check(rng.uniformReal(-50.0, 0.0));
+
+    const detail::ExpBracket tail =
+            detail::expBracket(-std::numeric_limits<double>::infinity());
+    EXPECT_EQ(tail.lo, 0.0);
+    EXPECT_GE(tail.hi, std::exp(-48.0));
+    const detail::ExpBracket none =
+            detail::expBracket(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_TRUE(std::isnan(none.lo) && std::isnan(none.hi));
+}
+
+/** A fitted GP and a query set that stresses the LCB lower bounds. */
+struct BoundCase
+{
+    std::string name;
+    std::unique_ptr<GaussianProcess> gp;
+    std::vector<double> rows; ///< 264 queries, row-major
+    std::vector<bool> nan_row; ///< query has a NaN feature
+};
+
+/**
+ * 264 queries (a multiple of every group size tested) for a GP fitted
+ * to `n` random points of `dim` features: training points themselves
+ * (where a zero-noise GP's variance clips to 0), copies of earlier
+ * queries (exact ties), points far beyond the exp table's span, one
+ * query with a NaN feature, and random points near the data.
+ */
+BoundCase
+boundCase(std::string name, GpParams p, size_t n, size_t dim, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::vector<double>> x(n, std::vector<double>(dim));
+    std::vector<double> y(n);
+    for (size_t i = 0; i < n; ++i) {
+        for (double &v : x[i])
+            v = rng.uniformReal(-2.0, 2.0);
+        y[i] = std::sin(x[i][0]) + x[i][1] * x[i][dim - 1];
+    }
+    BoundCase c;
+    c.name = std::move(name);
+    c.gp = std::make_unique<GaussianProcess>(p);
+    c.gp->fit(x, y);
+    for (size_t q = 0; q < 264; ++q) {
+        std::vector<double> f(dim);
+        if (q % 5 == 0) {
+            f = x[rng.uniformInt(0, int(n) - 1)];
+        } else if (q % 7 == 0 && q >= 7) {
+            f.assign(c.rows.begin() + (q - 7) * dim,
+                    c.rows.begin() + (q - 6) * dim);
+        } else if (q % 11 == 0) {
+            for (double &v : f)
+                v = rng.uniformReal(-400.0, 400.0);
+        } else {
+            for (double &v : f)
+                v = rng.uniformReal(-3.0, 3.0);
+        }
+        const bool nan_row = q == 131;
+        if (nan_row)
+            f[1] = std::numeric_limits<double>::quiet_NaN();
+        c.rows.insert(c.rows.end(), f.begin(), f.end());
+        c.nan_row.push_back(nan_row);
+    }
+    return c;
+}
+
+/**
+ * The zero-noise variance-clip GP of BatchedLcbEqualsNaiveReferenceBitwise,
+ * BB-BO's own hyperparameters, a short length scale that puts most
+ * kernel arguments past the table, and a zero signal variance, for
+ * which no bound is known.
+ */
+std::vector<BoundCase>
+boundCases()
+{
+    std::vector<BoundCase> cases;
+    cases.push_back(boundCase("clip", {1.5, 1e6, 0.0}, 60, 5, 21));
+    cases.push_back(boundCase("bbbo", {3.0, 4.0, 1e-2}, 120, 9, 22));
+    cases.push_back(boundCase("short", {0.2, 2.0, 1e-4}, 50, 4, 23));
+    cases.push_back(boundCase("flat", {1.0, 0.0, 1e-2}, 30, 3, 24));
+    return cases;
+}
+
+TEST(GpLowerBound, NeverAboveTheExactLcb)
+{
+    ThreadPool pool(3);
+    for (const BoundCase &c : boundCases()) {
+        const GaussianProcess &gp = *c.gp;
+        const size_t count = c.nan_row.size();
+        const size_t dim = c.rows.size() / count;
+        for (double kappa : {-1.0, 0.0, 1.0, 3.0}) {
+            std::vector<double> bound(count), pooled(count);
+            gp.lcbLowerBounds(c.rows, kappa, bound);
+            gp.lcbLowerBounds(c.rows, kappa, pooled, &pool);
+            for (size_t q = 0; q < count; ++q) {
+                const std::vector<double> row(c.rows.begin() + q * dim,
+                        c.rows.begin() + (q + 1) * dim);
+                const double lcb = gp.lcb(row, kappa);
+                const std::string at = c.name + " kappa " +
+                        std::to_string(kappa) + " query " + std::to_string(q);
+                EXPECT_EQ(std::bit_cast<uint64_t>(bound[q]),
+                          std::bit_cast<uint64_t>(pooled[q]))
+                        << at;
+                if (c.name == "flat" || c.nan_row[q]) {
+                    EXPECT_TRUE(std::isnan(bound[q])) << at;
+                    continue;
+                }
+                ASSERT_FALSE(std::isnan(bound[q])) << at;
+                EXPECT_LE(bound[q], lcb) << at;
+            }
+        }
+    }
+}
+
+TEST(GpLcbArgmin, EqualsFullBatchAndStrictScanBitwise)
+{
+    ThreadPool pool(3);
+    size_t pruned = 0;
+    for (const BoundCase &c : boundCases()) {
+        const GaussianProcess &gp = *c.gp;
+        const size_t count = c.nan_row.size();
+        for (double kappa : {-1.0, 0.0, 1.0, 3.0}) {
+            std::vector<double> lcbs(count);
+            gp.lcbBatch(c.rows, kappa, lcbs);
+            for (size_t group : {1, 3, 8, 33}) {
+                const size_t groups = count / group;
+                for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
+                                      &pool}) {
+                    std::vector<double> best(groups);
+                    std::vector<size_t> pick(groups);
+                    const size_t exact = gp.lcbArgmin(c.rows, group, kappa,
+                            best, pick, p);
+                    EXPECT_GE(exact, groups);
+                    EXPECT_LE(exact, count);
+                    pruned += count - exact;
+                    for (size_t g = 0; g < groups; ++g) {
+                        double want = std::numeric_limits<double>::infinity();
+                        size_t want_pick = g * group;
+                        for (size_t q = g * group; q < (g + 1) * group; ++q)
+                            if (lcbs[q] < want) {
+                                want = lcbs[q];
+                                want_pick = q;
+                            }
+                        const std::string at = c.name + " kappa " +
+                                std::to_string(kappa) + " group " +
+                                std::to_string(group) + " g " +
+                                std::to_string(g);
+                        EXPECT_EQ(std::bit_cast<uint64_t>(best[g]),
+                                  std::bit_cast<uint64_t>(want))
+                                << at;
+                        EXPECT_EQ(pick[g], want_pick) << at;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(pruned, 0u) << "no candidate was ever pruned";
+}
+
+TEST(GpDeathTest, ArgminGroupsMustBeWellFormed)
+{
+    GaussianProcess gp;
+    gp.fit({{0.0, 1.0}, {1.0, 0.0}}, {1.0, 2.0});
+    std::vector<double> rows = {0.5, 0.5, 0.25, 0.25};
+    std::vector<double> best(2);
+    std::vector<size_t> pick(2), short_pick(1);
+    EXPECT_DEATH(gp.lcbArgmin(rows, 0, 1.0, best, pick), "bad group shape");
+    EXPECT_DEATH(gp.lcbArgmin(rows, 1, 1.0, best, short_pick),
+            "bad group shape");
+    EXPECT_DEATH(gp.lcbArgmin(rows, 2, 1.0, best, pick),
+            "feature size mismatch");
 }
 
 TEST(GpDeathTest, BatchRowsMustMatchFeatureSize)

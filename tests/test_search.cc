@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,29 @@ TEST(BayesOpt, GuidedPhaseNoWorseThanWarmupBest)
     SearchResult r = runSearch(spec).search;
     double warmup_best = r.trace[size_t(warmup) - 1];
     EXPECT_LE(r.best_edp, warmup_best);
+}
+
+TEST(BayesOpt, NonFiniteScoresStillRunTheWholeBudget)
+{
+    // A scorer that returns NaN or +inf makes every training target and
+    // so every LCB non-finite: no hardware candidate scores below +inf.
+    // Each guided round must still evaluate a complete design (hardware
+    // candidate 0 with each slice's first mapping), never a
+    // default-constructed one.
+    for (double latency : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+        SearchSpec spec;
+        spec.algorithm = "bayesopt";
+        spec.workload = bertBase().layers;
+        spec.seed = 21;
+        spec.scorer = [latency](const Layer &, const Mapping &,
+                              const HardwareConfig &) { return latency; };
+        spec.options.set("warmup_samples", 6)
+                .set("total_samples", 14)
+                .set("hw_candidates", 3)
+                .set("map_candidates", 4);
+        EXPECT_EQ(runSearch(spec).search.trace.size(), 14u) << latency;
+    }
 }
 
 /** Every sample's EDP and every phase of one run. */
