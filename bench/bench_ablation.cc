@@ -1,8 +1,8 @@
 /**
  * @file
- * Ablation study of the optimizer design choices called out in
- * DESIGN.md (not a paper figure — supporting evidence for the
- * reproduction's engineering decisions):
+ * Ablation study of the optimizer's design choices (not a paper
+ * figure — supporting evidence for the reproduction's engineering
+ * decisions):
  *
  *  - feasibility projection of the log-space iterates (vs the Eq 18
  *    penalty acting alone),
@@ -86,8 +86,7 @@ main(int argc, char **argv)
     bench::note(">1x means the ablated variant is worse. Multi-start "
                 "and a moderate, decayed learning rate carry the most "
                 "weight in open co-search; the feasibility projection "
-                "mainly stabilizes single-start and fixed-PE runs "
-                "(see DESIGN.md).");
+                "mainly stabilizes single-start and fixed-PE runs.");
     table.writeCsv("bench_ablation.csv");
     bench::perfFooter(scale, timer);
     return 0;

@@ -103,6 +103,26 @@ validateSpec(const SearchSpec &spec, std::string &error)
             return false;
         }
     }
+    // The DOSA objective weights layer l by layer_weights[l] and
+    // panics on any other count than the workload's.
+    const std::vector<double> &weights = spec.mode.layer_weights;
+    const size_t num_layers = spec.workload_name.empty()
+            ? spec.workload.size()
+            : Workloads::find(spec.workload_name)->layers.size();
+    if (!weights.empty() && weights.size() != num_layers) {
+        error = "search spec mode.layer_weights has " +
+                std::to_string(weights.size()) + " entries for " +
+                std::to_string(num_layers) + " workload layers";
+        return false;
+    }
+    for (size_t l = 0; l < weights.size(); ++l) {
+        if (!(weights[l] >= 0.0 &&
+                    weights[l] <= std::numeric_limits<double>::max())) {
+            error = "search spec mode.layer_weights[" + std::to_string(l) +
+                    "] must be finite and non-negative";
+            return false;
+        }
+    }
     if (spec.budget.max_samples < 0 || !(spec.budget.deadline_s >= 0.0)) {
         error = "search budget limits must be non-negative";
         return false;

@@ -45,16 +45,6 @@ layerToJson(const Layer &layer)
     return v;
 }
 
-json::Value
-hwToJson(const HardwareConfig &hw)
-{
-    json::Value v = json::Value::object();
-    v.set("pe_dim", json::Value::number(hw.pe_dim));
-    v.set("accum_kib", json::Value::number(hw.accum_kib));
-    v.set("spad_kib", json::Value::number(hw.spad_kib));
-    return v;
-}
-
 bool
 layerFromJson(const json::Value &value, const std::string &path,
               Layer &out, std::string &error)
@@ -70,17 +60,6 @@ layerFromJson(const json::Value &value, const std::string &path,
     r.readInt("n", out.n);
     r.readInt("stride", out.stride);
     r.readInt("count", out.count);
-    return r.finish();
-}
-
-bool
-hwFromJson(const json::Value &value, const std::string &path,
-           HardwareConfig &out, std::string &error)
-{
-    json::ObjectReader r(value, path, error);
-    r.readInt("pe_dim", out.pe_dim);
-    r.readInt("accum_kib", out.accum_kib);
-    r.readInt("spad_kib", out.spad_kib);
     return r.finish();
 }
 
@@ -104,6 +83,27 @@ paretoAxisFromJson(const json::Value &value, const std::string &path,
 }
 
 } // namespace
+
+json::Value
+hwToJson(const HardwareConfig &hw)
+{
+    json::Value v = json::Value::object();
+    v.set("pe_dim", json::Value::number(hw.pe_dim));
+    v.set("accum_kib", json::Value::number(hw.accum_kib));
+    v.set("spad_kib", json::Value::number(hw.spad_kib));
+    return v;
+}
+
+bool
+hwFromJson(const json::Value &value, const std::string &path,
+           HardwareConfig &out, std::string &error)
+{
+    json::ObjectReader r(value, path, error);
+    r.readInt("pe_dim", out.pe_dim);
+    r.readInt("accum_kib", out.accum_kib);
+    r.readInt("spad_kib", out.spad_kib);
+    return r.finish();
+}
 
 json::Value
 specToJsonValue(const SearchSpec &spec)

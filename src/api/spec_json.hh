@@ -40,6 +40,17 @@
 
 namespace dosa {
 
+/** Encode `hw` as {"accum_kib", "pe_dim", "spad_kib"}. */
+json::Value hwToJson(const HardwareConfig &hw);
+
+/**
+ * Strictly decode a `hwToJson` object into `out`; false + diagnostic
+ * (rooted at `path`) on unknown keys or type mismatches.
+ */
+[[nodiscard]] bool hwFromJson(const json::Value &value,
+                              const std::string &path, HardwareConfig &out,
+                              std::string &error);
+
 /**
  * Encode `spec` as a canonical JSON value. Panics when the spec
  * carries a scorer or a differentiable latency model (process-local,

@@ -148,7 +148,6 @@ HardwareConfig configMax(const HardwareConfig &a, const HardwareConfig &b);
  * few-pJ range (CACTI 40nm) for the buffer sizes the paper's Table 7
  * selects — in words, a 196 KB accumulator access would cost 300+ pJ
  * and the optimizer would never grow buffers as the paper observes.
- * See DESIGN.md (modelling decisions).
  */
 struct EnergyModel
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Arena tape: SoA node storage, the fused replay interpreter and the
- * backward gradient sweep.
+ * Arena tape: SoA node storage, the one per-op valuation that push and
+ * the fused replay pass run, and the backward gradient sweep.
  */
 #include "autodiff/tape.hh"
 
@@ -22,14 +22,173 @@ Tape::addLeaf(double value)
     return id;
 }
 
-NodeId
-Tape::addNode(Op op, NodeId p0, NodeId p1, double aux, double value,
-              double w0, double w1)
+template <bool kFresh>
+inline void
+Tape::valueNode(const NodeIn &in, NodeW &w, double *v, size_t i)
 {
+    const double a = in.p0 >= 0 ? v[size_t(in.p0)] : 0.0;
+    const double aux = w.aux;
+    switch (in.op) {
+      case Op::Leaf: // valued by addLeaf, and by replay before its pass
+        break;
+      case Op::Neg:
+        v[i] = -a;
+        if constexpr (kFresh)
+            w.w0 = -1.0;
+        break;
+      case Op::Add:
+        v[i] = a + v[size_t(in.p1)];
+        if constexpr (kFresh) {
+            w.w0 = 1.0;
+            w.w1 = 1.0;
+        }
+        break;
+      case Op::AddC:
+        v[i] = a + aux;
+        if constexpr (kFresh)
+            w.w0 = 1.0;
+        break;
+      case Op::Sub:
+        v[i] = a - v[size_t(in.p1)];
+        if constexpr (kFresh) {
+            w.w0 = 1.0;
+            w.w1 = -1.0;
+        }
+        break;
+      case Op::SubC:
+        v[i] = a - aux;
+        if constexpr (kFresh)
+            w.w0 = 1.0;
+        break;
+      case Op::CSub:
+        v[i] = aux - a;
+        if constexpr (kFresh)
+            w.w0 = -1.0;
+        break;
+      case Op::Mul: {
+        double b = v[size_t(in.p1)];
+        v[i] = a * b;
+        w.w0 = b;
+        w.w1 = a;
+        break;
+      }
+      case Op::MulC:
+        v[i] = a * aux;
+        if constexpr (kFresh)
+            w.w0 = aux;
+        break;
+      case Op::Div: {
+        double b = v[size_t(in.p1)];
+        v[i] = a / b;
+        w.w0 = 1.0 / b;
+        w.w1 = -a / (b * b);
+        break;
+      }
+      case Op::DivC:
+        v[i] = a / aux;
+        if constexpr (kFresh)
+            w.w0 = 1.0 / aux;
+        break;
+      case Op::CDiv:
+        v[i] = aux / a;
+        w.w0 = -aux / (a * a);
+        break;
+      case Op::Log:
+        v[i] = std::log(a);
+        w.w0 = 1.0 / a;
+        break;
+      case Op::Exp:
+        v[i] = std::exp(a);
+        w.w0 = v[i];
+        break;
+      case Op::Sqrt:
+        v[i] = std::sqrt(a);
+        w.w0 = 0.5 / v[i];
+        break;
+      case Op::Pow:
+        v[i] = std::pow(a, aux);
+        w.w0 = aux * std::pow(a, aux - 1.0);
+        break;
+      case Op::Max: {
+        double b = v[size_t(in.p1)];
+        bool first = a >= b;
+        v[i] = first ? a : b;
+        w.w0 = first ? 1.0 : 0.0;
+        w.w1 = first ? 0.0 : 1.0;
+        break;
+      }
+      case Op::MaxCL: {
+        bool cwins = aux >= a;
+        v[i] = cwins ? aux : a;
+        w.w0 = cwins ? 0.0 : 1.0;
+        break;
+      }
+      case Op::MaxCR: {
+        bool pwins = a >= aux;
+        v[i] = pwins ? a : aux;
+        w.w0 = pwins ? 1.0 : 0.0;
+        break;
+      }
+      case Op::Min: {
+        double b = v[size_t(in.p1)];
+        bool first = a <= b;
+        v[i] = first ? a : b;
+        w.w0 = first ? 1.0 : 0.0;
+        w.w1 = first ? 0.0 : 1.0;
+        break;
+      }
+      case Op::MinCL: {
+        bool cwins = aux <= a;
+        v[i] = cwins ? aux : a;
+        w.w0 = cwins ? 0.0 : 1.0;
+        break;
+      }
+      case Op::MinCR: {
+        bool pwins = a <= aux;
+        v[i] = pwins ? a : aux;
+        w.w0 = pwins ? 1.0 : 0.0;
+        break;
+      }
+      case Op::Relu: {
+        bool on = a > 0.0;
+        v[i] = on ? a : 0.0;
+        w.w0 = on ? 1.0 : 0.0;
+        break;
+      }
+      case Op::Ramp: {
+        // The six-node chain's own expressions, ties included (Op).
+        double s0 = a - 1.0;
+        bool up = s0 >= 0.0;
+        double s1 = up ? s0 : 0.0;
+        bool below = s1 <= 1.0;
+        double s2 = below ? s1 : 1.0;
+        double s3 = v[size_t(in.p1)] - 1.0;
+        v[i] = s2 * s3 + 1.0;
+        w.w0 = up && below ? s3 : 0.0;
+        w.w1 = s2;
+        break;
+      }
+      case Op::HingeAcc: {
+        double c = 1.0 - v[size_t(in.p1)];
+        bool on = c > 0.0;
+        v[i] = a + (on ? c : 0.0);
+        if constexpr (kFresh)
+            w.w0 = 1.0;
+        w.w1 = on ? -1.0 : 0.0;
+        break;
+      }
+    }
+}
+
+NodeId
+Tape::push(Op op, NodeId p0, NodeId p1, double aux)
+{
+    const size_t i = values_.size();
     in_.push_back({op, p0, p1});
-    w_.push_back({aux, w0, w1});
-    values_.push_back(value);
-    return static_cast<NodeId>(values_.size() - 1);
+    w_.push_back({aux, 0.0, 0.0});
+    values_.push_back(0.0);
+    valueNode<true>(in_[i], w_[i], values_.data(), i);
+    return static_cast<NodeId>(i);
 }
 
 void
@@ -37,147 +196,16 @@ Tape::replay(std::span<const double> leaf_values)
 {
     if (leaf_values.size() != leaves_.size())
         panic("Tape::replay: leaf count mismatch");
+    double *v = values_.data();
+    for (size_t k = 0; k < leaf_values.size(); ++k)
+        v[size_t(leaves_[k])] = leaf_values[k];
+    // The push-time valuation, so a replay is bitwise-identical to a
+    // fresh build of the same-shaped graph.
     const size_t n = values_.size();
     const NodeIn *in = in_.data();
     NodeW *w = w_.data();
-    double *v = values_.data();
-    size_t leaf = 0;
-
-    // Every case recomputes value and partials with the exact
-    // expressions Var arithmetic uses at build time, so a replay is
-    // bitwise-identical to a fresh build of the same-shaped graph.
-    for (size_t i = 0; i < n; ++i) {
-        const double a = in[i].p0 >= 0 ? v[size_t(in[i].p0)] : 0.0;
-        const double aux = w[i].aux;
-        switch (in[i].op) {
-          case Op::Leaf:
-            v[i] = leaf_values[leaf++];
-            break;
-          case Op::Neg:
-            v[i] = -a;
-            break;
-          case Op::Add:
-            v[i] = a + v[size_t(in[i].p1)];
-            break;
-          case Op::AddC:
-            v[i] = a + aux;
-            break;
-          case Op::Sub:
-            v[i] = a - v[size_t(in[i].p1)];
-            break;
-          case Op::SubC:
-            v[i] = a - aux;
-            break;
-          case Op::CSub:
-            v[i] = aux - a;
-            break;
-          case Op::Mul: {
-            double b = v[size_t(in[i].p1)];
-            v[i] = a * b;
-            w[i].w0 = b;
-            w[i].w1 = a;
-            break;
-          }
-          case Op::MulC:
-            v[i] = a * aux;
-            break;
-          case Op::Div: {
-            double b = v[size_t(in[i].p1)];
-            v[i] = a / b;
-            w[i].w0 = 1.0 / b;
-            w[i].w1 = -a / (b * b);
-            break;
-          }
-          case Op::DivC:
-            v[i] = a / aux;
-            break;
-          case Op::CDiv:
-            v[i] = aux / a;
-            w[i].w0 = -aux / (a * a);
-            break;
-          case Op::Log:
-            v[i] = std::log(a);
-            w[i].w0 = 1.0 / a;
-            break;
-          case Op::Exp:
-            v[i] = std::exp(a);
-            w[i].w0 = v[i];
-            break;
-          case Op::Sqrt:
-            v[i] = std::sqrt(a);
-            w[i].w0 = 0.5 / v[i];
-            break;
-          case Op::Pow:
-            v[i] = std::pow(a, aux);
-            w[i].w0 = aux * std::pow(a, aux - 1.0);
-            break;
-          case Op::Max: {
-            double b = v[size_t(in[i].p1)];
-            bool first = a >= b;
-            v[i] = first ? a : b;
-            w[i].w0 = first ? 1.0 : 0.0;
-            w[i].w1 = first ? 0.0 : 1.0;
-            break;
-          }
-          case Op::MaxCL: {
-            bool cwins = aux >= a;
-            v[i] = cwins ? aux : a;
-            w[i].w0 = cwins ? 0.0 : 1.0;
-            break;
-          }
-          case Op::MaxCR: {
-            bool pwins = a >= aux;
-            v[i] = pwins ? a : aux;
-            w[i].w0 = pwins ? 1.0 : 0.0;
-            break;
-          }
-          case Op::Min: {
-            double b = v[size_t(in[i].p1)];
-            bool first = a <= b;
-            v[i] = first ? a : b;
-            w[i].w0 = first ? 1.0 : 0.0;
-            w[i].w1 = first ? 0.0 : 1.0;
-            break;
-          }
-          case Op::MinCL: {
-            bool cwins = aux <= a;
-            v[i] = cwins ? aux : a;
-            w[i].w0 = cwins ? 0.0 : 1.0;
-            break;
-          }
-          case Op::MinCR: {
-            bool pwins = a <= aux;
-            v[i] = pwins ? a : aux;
-            w[i].w0 = pwins ? 1.0 : 0.0;
-            break;
-          }
-          case Op::Relu: {
-            bool on = a > 0.0;
-            v[i] = on ? a : 0.0;
-            w[i].w0 = on ? 1.0 : 0.0;
-            break;
-          }
-          case Op::Ramp: {
-            double s0 = a - 1.0;
-            bool up = s0 >= 0.0;
-            double s1 = up ? s0 : 0.0;
-            bool below = s1 <= 1.0;
-            double s2 = below ? s1 : 1.0;
-            double s3 = v[size_t(in[i].p1)] - 1.0;
-            v[i] = s2 * s3 + 1.0;
-            w[i].w0 = up && below ? s3 : 0.0;
-            w[i].w1 = s2;
-            break;
-          }
-          case Op::HingeAcc: {
-            double c = 1.0 - v[size_t(in[i].p1)];
-            bool on = c > 0.0;
-            v[i] = a + (on ? c : 0.0);
-            w[i].w1 = on ? -1.0 : 0.0;
-            break;
-          }
-        }
-    }
+    for (size_t i = 0; i < n; ++i)
+        valueNode<false>(in[i], w[i], v, i);
 }
 
 void

@@ -4,23 +4,25 @@
  *
  * The paper implements its differentiable performance model with PyTorch
  * autograd; this is the equivalent substrate built from scratch. Each
- * arithmetic operation appends a node recording its operation kind, (up
- * to two) parents and the local partial derivatives; a single reverse
- * sweep then yields the gradient of one scalar output with respect to
- * every leaf.
+ * arithmetic operation pushes a node recording its operation kind, (up
+ * to two) parents and any detached constant; the tape values the node
+ * and its local partial derivatives, and a single reverse sweep then
+ * yields the gradient of one scalar output with respect to every leaf.
  *
  * Unlike PyTorch, this engine exploits a DOSA-specific invariant: for a
  * fixed (layers, orders, strategy, mode) context the objective graph has
  * an identical *shape* every descent step — only the leaf values change.
  * The tape therefore supports three lifecycle modes:
  *
- *  - build:  append nodes (via Var arithmetic), structure-of-arrays
+ *  - build:  `push` nodes (via Var arithmetic), structure-of-arrays
  *            storage, `reserve()`d once and reused;
  *  - replay: `replay(leaf_values)` re-runs the recorded program in one
  *            fused forward pass, recomputing every node value *and*
  *            every local partial (data-dependent max/min/relu branches
- *            re-select from the new values), bitwise-identical to a
- *            fresh build of the same expression at the new leaves;
+ *            re-select from the new values). `push` and `replay` run
+ *            the one per-op valuation, so a replay is
+ *            bitwise-identical to a fresh build of the same expression
+ *            at the new leaves;
  *  - sweep:  `gradientInto()` reverse-sweeps into a caller-owned
  *            adjoint buffer, so steady-state descent steps allocate
  *            nothing.
@@ -55,9 +57,8 @@ constexpr NodeId kNoParent = -1;
  * Node operation kinds. `C` marks an untaped (constant) operand folded
  * into the node's `aux` slot; `CL`/`CR` distinguish which side the
  * constant sat on where the semantics differ (tie-breaking of max/min
- * follows the left operand, matching torch.max). Replay recomputes
- * value and partials from these kinds with the exact expressions the
- * Var layer uses at build time.
+ * follows the left operand, matching torch.max). The tape values a
+ * node from its kind, parents and `aux` alone, at push and at replay.
  *
  * `Ramp` (Eq 6's gated refetch candidate, six nodes: SubC, MaxCR,
  * MinCR, SubC, Mul, AddC) and `HingeAcc` (one Eq 18 hinge added to a
@@ -115,12 +116,11 @@ class Tape
     NodeId addLeaf(double value);
 
     /**
-     * Add a computed node. `value`, `w0`, `w1` are the build-time
-     * results; `op` + `aux` let replay recompute them from fresh
-     * parent values.
+     * Append a computed node and value it, and its local partials,
+     * from its parents' current values and `aux` (the detached
+     * operand, or Pow's exponent): the valuation `replay` re-runs.
      */
-    NodeId addNode(Op op, NodeId p0, NodeId p1, double aux, double value,
-                   double w0, double w1);
+    NodeId push(Op op, NodeId p0, NodeId p1, double aux);
 
     /** Value stored at a node. */
     double value(NodeId id) const { return values_[size_t(id)]; }
@@ -185,6 +185,15 @@ class Tape
         double w0;
         double w1;
     };
+
+    /**
+     * Value node `i` (program word `in`, derivative word `w`) from
+     * `v`: the one place each op kind's value and partials are
+     * computed. `kFresh` (push) also writes the partials fixed by the
+     * op and `aux`, which replay leaves as recorded.
+     */
+    template <bool kFresh>
+    static void valueNode(const NodeIn &in, NodeW &w, double *v, size_t i);
 
     // Structure-of-arrays node storage, split by access phase: the
     // replay interpreter streams in_/w_/values_, the reverse sweep

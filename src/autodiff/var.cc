@@ -1,6 +1,7 @@
 /**
  * @file
- * Var arithmetic: each operation records its kind, parents and local partials on the tape.
+ * Var arithmetic: each operation picks its node kind and operands and
+ * pushes them on the tape, which values the node (Tape::push).
  *
  * Every node carries a typed Op so Tape::replay can recompute values
  * and partials from new leaf values. For that to be sound the recorded
@@ -34,13 +35,23 @@ jointTape(const Var &a, const Var &b)
 } // namespace
 
 Var
-Var::make(Tape *tape, NodeId id, double val)
+Var::record(Tape *tape, Op op, NodeId p0, NodeId p1, double aux)
 {
     Var v;
     v.tape_ = tape;
-    v.id_ = id;
-    v.val_ = val;
+    v.id_ = tape->push(op, p0, p1, aux);
+    v.val_ = tape->value(v.id_);
     return v;
+}
+
+Var
+Var::binary(Tape *tape, Op both, Op cr, Op cl, const Var &a, const Var &b)
+{
+    if (a.id_ != kNoParent && b.id_ != kNoParent)
+        return record(tape, both, a.id_, b.id_);
+    if (a.id_ != kNoParent)
+        return record(tape, cr, a.id_, kNoParent, b.val_);
+    return record(tape, cl, b.id_, kNoParent, a.val_);
 }
 
 Var
@@ -48,123 +59,81 @@ Var::operator-() const
 {
     if (!tape_)
         return Var(-val_);
-    return make(tape_, tape_->addNode(Op::Neg, id_, kNoParent, 0.0,
-            -val_, -1.0, 0.0), -val_);
+    return record(tape_, Op::Neg, id_);
 }
 
 Var
 operator+(const Var &a, const Var &b)
 {
     Tape *t = jointTape(a, b);
-    double v = a.val_ + b.val_;
     if (!t)
-        return Var(v);
-    if (a.id_ != kNoParent && b.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::Add, a.id_, b.id_, 0.0, v,
-                1.0, 1.0), v);
-    NodeId p = a.id_ != kNoParent ? a.id_ : b.id_;
-    double c = a.id_ != kNoParent ? b.val_ : a.val_;
-    return Var::make(t, t->addNode(Op::AddC, p, kNoParent, c, v,
-            1.0, 0.0), v);
+        return Var(a.val_ + b.val_);
+    return Var::binary(t, Op::Add, Op::AddC, Op::AddC, a, b);
 }
 
 Var
 operator-(const Var &a, const Var &b)
 {
     Tape *t = jointTape(a, b);
-    double v = a.val_ - b.val_;
     if (!t)
-        return Var(v);
-    if (a.id_ != kNoParent && b.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::Sub, a.id_, b.id_, 0.0, v,
-                1.0, -1.0), v);
-    if (a.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::SubC, a.id_, kNoParent,
-                b.val_, v, 1.0, 0.0), v);
-    return Var::make(t, t->addNode(Op::CSub, b.id_, kNoParent, a.val_,
-            v, -1.0, 0.0), v);
+        return Var(a.val_ - b.val_);
+    return Var::binary(t, Op::Sub, Op::SubC, Op::CSub, a, b);
 }
 
 Var
 operator*(const Var &a, const Var &b)
 {
     Tape *t = jointTape(a, b);
-    double v = a.val_ * b.val_;
     if (!t)
-        return Var(v);
+        return Var(a.val_ * b.val_);
     // A detached exact 1 is the identity: record nothing (why replay
     // stays sound: var.hh, "Shape invariance").
     if (a.id_ == kNoParent && a.val_ == 1.0)
         return b;
     if (b.id_ == kNoParent && b.val_ == 1.0)
         return a;
-    if (a.id_ != kNoParent && b.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::Mul, a.id_, b.id_, 0.0, v,
-                b.val_, a.val_), v);
-    NodeId p = a.id_ != kNoParent ? a.id_ : b.id_;
-    double c = a.id_ != kNoParent ? b.val_ : a.val_;
-    return Var::make(t, t->addNode(Op::MulC, p, kNoParent, c, v,
-            c, 0.0), v);
+    return Var::binary(t, Op::Mul, Op::MulC, Op::MulC, a, b);
 }
 
 Var
 operator/(const Var &a, const Var &b)
 {
     Tape *t = jointTape(a, b);
-    double v = a.val_ / b.val_;
     if (!t)
-        return Var(v);
-    double da = 1.0 / b.val_;
-    double db = -a.val_ / (b.val_ * b.val_);
-    if (a.id_ != kNoParent && b.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::Div, a.id_, b.id_, 0.0, v,
-                da, db), v);
-    if (a.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::DivC, a.id_, kNoParent,
-                b.val_, v, da, 0.0), v);
-    return Var::make(t, t->addNode(Op::CDiv, b.id_, kNoParent, a.val_,
-            v, db, 0.0), v);
+        return Var(a.val_ / b.val_);
+    return Var::binary(t, Op::Div, Op::DivC, Op::CDiv, a, b);
 }
 
 Var
 log(const Var &a)
 {
-    double v = std::log(a.val_);
     if (!a.tape_)
-        return Var(v);
-    return Var::make(a.tape_, a.tape_->addNode(Op::Log, a.id_,
-            kNoParent, 0.0, v, 1.0 / a.val_, 0.0), v);
+        return Var(std::log(a.val_));
+    return Var::record(a.tape_, Op::Log, a.id_);
 }
 
 Var
 exp(const Var &a)
 {
-    double v = std::exp(a.val_);
     if (!a.tape_)
-        return Var(v);
-    return Var::make(a.tape_, a.tape_->addNode(Op::Exp, a.id_,
-            kNoParent, 0.0, v, v, 0.0), v);
+        return Var(std::exp(a.val_));
+    return Var::record(a.tape_, Op::Exp, a.id_);
 }
 
 Var
 sqrt(const Var &a)
 {
-    double v = std::sqrt(a.val_);
     if (!a.tape_)
-        return Var(v);
-    return Var::make(a.tape_, a.tape_->addNode(Op::Sqrt, a.id_,
-            kNoParent, 0.0, v, 0.5 / v, 0.0), v);
+        return Var(std::sqrt(a.val_));
+    return Var::record(a.tape_, Op::Sqrt, a.id_);
 }
 
 Var
 pow(const Var &a, double e)
 {
-    double v = std::pow(a.val_, e);
     if (!a.tape_)
-        return Var(v);
-    double d = e * std::pow(a.val_, e - 1.0);
-    return Var::make(a.tape_, a.tape_->addNode(Op::Pow, a.id_,
-            kNoParent, e, v, d, 0.0), v);
+        return Var(std::pow(a.val_, e));
+    return Var::record(a.tape_, Op::Pow, a.id_, kNoParent, e);
 }
 
 Var
@@ -173,48 +142,27 @@ max(const Var &a, const Var &b)
     // Subgradient flows only to the larger operand (ties go to a),
     // matching torch.max backward behaviour closely enough for DSE.
     Tape *t = jointTape(a, b);
-    bool first = a.val_ >= b.val_;
-    double v = first ? a.val_ : b.val_;
     if (!t)
-        return Var(v);
-    if (a.id_ != kNoParent && b.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::Max, a.id_, b.id_, 0.0, v,
-                first ? 1.0 : 0.0, first ? 0.0 : 1.0), v);
-    if (a.id_ == kNoParent)
-        return Var::make(t, t->addNode(Op::MaxCL, b.id_, kNoParent,
-                a.val_, v, first ? 0.0 : 1.0, 0.0), v);
-    return Var::make(t, t->addNode(Op::MaxCR, a.id_, kNoParent, b.val_,
-            v, first ? 1.0 : 0.0, 0.0), v);
+        return Var(a.val_ >= b.val_ ? a.val_ : b.val_);
+    return Var::binary(t, Op::Max, Op::MaxCR, Op::MaxCL, a, b);
 }
 
 Var
 min(const Var &a, const Var &b)
 {
     Tape *t = jointTape(a, b);
-    bool first = a.val_ <= b.val_;
-    double v = first ? a.val_ : b.val_;
     if (!t)
-        return Var(v);
-    if (a.id_ != kNoParent && b.id_ != kNoParent)
-        return Var::make(t, t->addNode(Op::Min, a.id_, b.id_, 0.0, v,
-                first ? 1.0 : 0.0, first ? 0.0 : 1.0), v);
-    if (a.id_ == kNoParent)
-        return Var::make(t, t->addNode(Op::MinCL, b.id_, kNoParent,
-                a.val_, v, first ? 0.0 : 1.0, 0.0), v);
-    return Var::make(t, t->addNode(Op::MinCR, a.id_, kNoParent, b.val_,
-            v, first ? 1.0 : 0.0, 0.0), v);
+        return Var(a.val_ <= b.val_ ? a.val_ : b.val_);
+    return Var::binary(t, Op::Min, Op::MinCR, Op::MinCL, a, b);
 }
 
 Var
 relu(const Var &a)
 {
     // Hard zero with no gradient at/below 0, as in torch.relu.
-    bool on = a.val_ > 0.0;
-    double v = on ? a.val_ : 0.0;
     if (!a.tape_)
-        return Var(v);
-    return Var::make(a.tape_, a.tape_->addNode(Op::Relu, a.id_,
-            kNoParent, 0.0, v, on ? 1.0 : 0.0, 0.0), v);
+        return Var(a.val_ > 0.0 ? a.val_ : 0.0);
+    return Var::record(a.tape_, Op::Relu, a.id_);
 }
 
 Var
@@ -224,17 +172,7 @@ ramp(const Var &f, const Var &outer)
         Var gate = min(max(f - Var(1.0), Var(0.0)), Var(1.0));
         return Var(1.0) + gate * (outer - Var(1.0));
     }
-    // The chain's own expressions, so the bits match it (tape.hh).
-    Tape *t = jointTape(f, outer);
-    double s0 = f.val_ - 1.0;
-    bool up = s0 >= 0.0;
-    double s1 = up ? s0 : 0.0;
-    bool below = s1 <= 1.0;
-    double s2 = below ? s1 : 1.0;
-    double s3 = outer.val_ - 1.0;
-    double v = s2 * s3 + 1.0;
-    return Var::make(t, t->addNode(Op::Ramp, f.id_, outer.id_, 0.0, v,
-            up && below ? s3 : 0.0, s2), v);
+    return Var::record(jointTape(f, outer), Op::Ramp, f.id_, outer.id_);
 }
 
 Var
@@ -242,12 +180,7 @@ hingeAcc(const Var &acc, const Var &f)
 {
     if (acc.id_ == kNoParent || f.id_ == kNoParent)
         return acc + relu(Var(1.0) - f);
-    Tape *t = jointTape(acc, f);
-    double c = 1.0 - f.val_;
-    bool on = c > 0.0;
-    double v = acc.val_ + (on ? c : 0.0);
-    return Var::make(t, t->addNode(Op::HingeAcc, acc.id_, f.id_, 0.0, v,
-            1.0, on ? -1.0 : 0.0), v);
+    return Var::record(jointTape(acc, f), Op::HingeAcc, acc.id_, f.id_);
 }
 
 Var

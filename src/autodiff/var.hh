@@ -93,30 +93,27 @@ class Var
     friend Var hingeAcc(const Var &acc, const Var &f);
 
   private:
-    static Var make(Tape *tape, NodeId id, double val);
+    /** Push a node on `tape` and wrap it, valued by the tape. */
+    static Var record(Tape *tape, Op op, NodeId p0, NodeId p1 = kNoParent,
+                      double aux = 0.0);
+    /**
+     * Record a binary op on `tape`: `both` over two taped operands,
+     * else `cr` (constant right) or `cl` (constant left) over the
+     * taped one, the detached operand's value in aux.
+     */
+    static Var binary(Tape *tape, Op both, Op cr, Op cl, const Var &a,
+                      const Var &b);
 
     Tape *tape_;
     NodeId id_;
     double val_;
 };
 
-/** Comparison on values only (no tape recording). */
-inline bool operator<(const Var &a, const Var &b)
-{ return a.value() < b.value(); }
-inline bool operator>(const Var &a, const Var &b)
-{ return a.value() > b.value(); }
-
 /** Sum of a vector of Vars (binary-chain reduction). */
 Var sum(const std::vector<Var> &xs);
 
 /** Elementwise softmax of a vector of Vars. */
 std::vector<Var> softmax(const std::vector<Var> &xs);
-
-// Generic helpers so templated model code works on double and Var alike.
-
-/** Numeric value of a scalar (identity for double). */
-inline double val(double x) { return x; }
-inline double val(const Var &x) { return x.value(); }
 
 } // namespace dosa::ad
 

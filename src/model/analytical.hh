@@ -8,7 +8,7 @@
  * evaluates with plain doubles (fast point evaluation) or with
  * ad::Var (gradient descent over the tiling factors).
  *
- * Modelling interpretation choices (see DESIGN.md):
+ * Modelling interpretation choices:
  *  - Tile capacities include the temporal factors strictly inside the
  *    level plus the relevant *spatial* factors of all levels, matching
  *    the worked example of paper Fig. 3 (the PE-array fanout sits below

@@ -21,8 +21,8 @@
  *    buffering), and per-instruction front-end overhead.
  *
  * All effects are deterministic functions of (layer, mapping, hw), so
- * datasets are reproducible. See DESIGN.md (substitutions) for the
- * paper -> built -> why mapping.
+ * datasets are reproducible. README.md's substitutes table maps each
+ * paper component to the stand-in built here.
  */
 
 #ifndef DOSA_RTL_GEMMINI_RTL_HH

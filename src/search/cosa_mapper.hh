@@ -8,7 +8,8 @@
  * encodes: maximize spatial utilization of the PE array, then maximize
  * buffer utilization (biggest tiles that fit) with weight/input reuse
  * ordering. It requires no solver and produces valid mappings for any
- * layer/hardware pair. See DESIGN.md (substitutions).
+ * layer/hardware pair. README.md's substitutes table lists it with the
+ * reproduction's other stand-ins.
  */
 
 #ifndef DOSA_SEARCH_COSA_MAPPER_HH

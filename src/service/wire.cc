@@ -119,27 +119,6 @@ needBool(json::ObjectReader &r, const char *key, bool &out)
 }
 
 json::Value
-hwToJson(const HardwareConfig &hw)
-{
-    json::Value v = json::Value::object();
-    v.set("pe_dim", json::Value::number(hw.pe_dim));
-    v.set("accum_kib", json::Value::number(hw.accum_kib));
-    v.set("spad_kib", json::Value::number(hw.spad_kib));
-    return v;
-}
-
-bool
-hwFromJson(const json::Value &value, const std::string &path,
-           HardwareConfig &out, std::string &error)
-{
-    json::ObjectReader r(value, path, error);
-    r.readInt("pe_dim", out.pe_dim);
-    r.readInt("accum_kib", out.accum_kib);
-    r.readInt("spad_kib", out.spad_kib);
-    return r.finish();
-}
-
-json::Value
 mappingToJson(const Mapping &m)
 {
     json::Value v = json::Value::object();

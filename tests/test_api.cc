@@ -466,6 +466,44 @@ TEST(ApiSpecValidation, RejectsHardwareSizesBelowOne)
     EXPECT_TRUE(validateSpec(spec, error)) << error;
 }
 
+TEST(ApiSpecValidation, RejectsLayerWeightsThatDoNotFitTheWorkload)
+{
+    // A dosa search whose mode.layer_weights count differs from the
+    // workload's layer count used to abort in the objective's size
+    // check. Every non-empty count must match the layers the search
+    // runs on (the registry's, for a by-name workload), and every
+    // weight must be finite and non-negative.
+    SearchSpec spec = goldenDosaSpec();
+    const size_t num_layers = spec.workload.size();
+    std::string error;
+    spec.mode.layer_weights.assign(num_layers + 1, 1.0);
+    EXPECT_FALSE(validateSpec(spec, error));
+    EXPECT_NE(error.find("mode.layer_weights"), std::string::npos) << error;
+    spec.mode.layer_weights.assign(num_layers, 1.0);
+    spec.mode.layer_weights[0] = 0.0;
+    EXPECT_TRUE(validateSpec(spec, error)) << error;
+    for (double w : {-1.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+        spec.mode.layer_weights.back() = w;
+        EXPECT_FALSE(validateSpec(spec, error)) << w;
+        EXPECT_NE(error.find("mode.layer_weights"), std::string::npos)
+                << error;
+    }
+    spec.mode.layer_weights.clear();
+    EXPECT_TRUE(validateSpec(spec, error)) << error;
+
+    SearchSpec named = goldenDosaSpec();
+    named.workload.clear();
+    named.workload_name = "bert";
+    const size_t bert_layers = Workloads::find("bert")->layers.size();
+    ASSERT_NE(bert_layers, 2u);
+    named.mode.layer_weights = {1.0, 2.0};
+    EXPECT_FALSE(validateSpec(named, error));
+    EXPECT_NE(error.find("mode.layer_weights"), std::string::npos) << error;
+    named.mode.layer_weights.assign(bert_layers, 2.0);
+    EXPECT_TRUE(validateSpec(named, error)) << error;
+}
+
 TEST(ApiOptionDomain, EveryOptionRunsAtItsBoundsAndRejectsPastThem)
 {
     // For every builtin searcher and every row of its option table,

@@ -89,6 +89,10 @@ UnaryGradient::cases()
          [](Var v) { return log(exp(v) + Var(1.0)); },
          [](double x) { return std::log(std::exp(x) + 1.0); },
          {-1.0, 0.0, 2.0}},
+        {"var_minus_const", [](Var v) { return v - Var(3.0); },
+         [](double x) { return x - 3.0; }, {-1.0, 2.0}},
+        {"div_by_const", [](Var v) { return v / Var(4.0); },
+         [](double x) { return x / 4.0; }, {-2.0, 0.5, 3.0}},
     };
 }
 
@@ -104,7 +108,7 @@ TEST_P(UnaryGradient, MatchesFiniteDifference)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOps, UnaryGradient,
-        ::testing::Range(0, 13));
+        ::testing::Range(0, 15));
 
 TEST(Autodiff, BinaryOpsBothSides)
 {
@@ -296,6 +300,7 @@ buildAllOps(Tape &tape, const std::vector<double> &xs,
     const Var &d = leaves[3];
     Var t = -a + b - c * d / (a + Var(3.0));
     t = t + (Var(2.0) - b) + b * Var(0.5) + Var(1.5) / (c + Var(4.0));
+    t = t + (d - Var(0.25)) / Var(8.0);     // SubC, DivC
     t = t + log(a + Var(5.0)) + exp(b * Var(0.1)) +
         sqrt(c + Var(6.0)) + pow(d + Var(7.0), 1.3);
     t = t + max(a, b) + min(c, d);          // both-taped selections

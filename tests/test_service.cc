@@ -690,12 +690,13 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors)
     EXPECT_FALSE(stats[2].last_error.empty());
 }
 
-TEST(Service, HardwareSizesBelowOneGetBadSpecAndServingContinues)
+TEST(Service, OutOfDomainSpecsGetBadSpecAndServingContinues)
 {
     // Each of these specs took the process down before validateSpec
-    // checked hardware sizes: the mapper with fixed_hw.pe_dim 0 or -4
-    // (SIGSEGV in the random mapping draw) and dosa with mode.fix_pe
-    // and pe_dim 0 (a panic in start generation).
+    // checked it: the mapper with fixed_hw.pe_dim 0 or -4 (SIGSEGV in
+    // the random mapping draw), dosa with mode.fix_pe and pe_dim 0 (a
+    // panic in start generation) and dosa on bert with two
+    // mode.layer_weights (a panic in the objective's size check).
     std::vector<std::pair<SearchSpec, std::string>> bad;
     for (int64_t value : {int64_t(0), int64_t(-4)}) {
         SearchSpec spec = goldenMapperSpec();
@@ -712,6 +713,11 @@ TEST(Service, HardwareSizesBelowOneGetBadSpecAndServingContinues)
     fixed_pe.mode.fix_pe = true;
     fixed_pe.mode.pe_dim = 0;
     bad.emplace_back(fixed_pe, "mode.pe_dim");
+    SearchSpec weights = goldenDosaSpec();
+    weights.workload.clear();
+    weights.workload_name = "bert";
+    weights.mode.layer_weights = {1.0, 2.0};
+    bad.emplace_back(weights, "mode.layer_weights");
 
     SearchService svc;
     ServiceBus bus(svc);
